@@ -20,19 +20,6 @@ from .axioms import (
     random_paired,
     run_suite,
 )
-from .cli import (
-    PortfolioSpec,
-    RiskQuery,
-    ScenarioTable,
-    cmd_verify,
-    emit_curve,
-    emit_envelope,
-    emit_table,
-    load_csv,
-    portfolio_law,
-    run_query,
-    sample_data_path,
-)
 from .dist import (
     CdfValue,
     EmpiricalDistribution,
@@ -101,3 +88,15 @@ from .measures import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Older callers read the CLI helpers from the package (``mv.load_csv``);
+    # they load maxvar.cli on first use instead of on every library import.
+    if name in ("PortfolioSpec", "RiskQuery", "ScenarioTable", "cmd_verify",
+                "emit_curve", "emit_envelope", "emit_table", "load_csv",
+                "portfolio_law", "run_query", "sample_data_path"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

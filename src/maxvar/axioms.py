@@ -31,7 +31,7 @@ from .envelope import (
     extremal_density,
     mixture_density,
 )
-from .errors import BudgetTooSmall, OutOfRange, PreconditionViolated
+from .errors import BudgetTooSmall, DimensionMismatch, OutOfRange, PreconditionViolated
 from .measures import (
     _copy_count,
     cvar_choquet,
@@ -56,7 +56,7 @@ class PairedScenarios:
         y = np.asarray(self.y, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
         if not (len(x) == len(y) == len(probs)) or len(x) == 0:
-            raise ValueError("x, y, probs must be nonempty and equally long")
+            raise DimensionMismatch("x, y, probs must be nonempty and equally long")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(probs))):
             raise OutOfRange("scenario values and probabilities must be finite")
         if np.any(probs <= 0.0):

@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import (
     AllZeroWeights,
+    DimensionMismatch,
     EmptyInput,
     NegativeProb,
     NonFiniteValue,
     OutOfRange,
+    ProbSumMismatch,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -44,7 +46,7 @@ class EmpiricalDistribution:
         values = np.asarray(self.values, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
         if values.ndim != 1 or probs.ndim != 1 or len(values) != len(probs):
-            raise ValueError("values and probs must be 1-d arrays of equal length")
+            raise DimensionMismatch("values and probs must be 1-d arrays of equal length")
         if len(values) == 0:
             raise EmptyInput("a distribution needs at least one atom")
         if not np.all(np.isfinite(values)) or not np.all(np.isfinite(probs)):
@@ -52,10 +54,10 @@ class EmpiricalDistribution:
         if np.any(probs <= 0.0):
             raise NegativeProb("every atom probability must be > 0")
         if np.any(np.diff(values) <= 0.0):
-            raise ValueError("atom values must be strictly increasing")
+            raise OutOfRange("atom values must be strictly increasing")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise ProbSumMismatch(f"probabilities sum to {total!r}, not 1")
         values = values.copy()
         probs = probs.copy()
         values.setflags(write=False)
@@ -153,7 +155,7 @@ def from_samples(raw) -> EmpiricalDistribution:
     if data.size == 0:
         raise EmptyInput("no (value, weight) pairs given")
     if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("expected a sequence of (value, weight) pairs")
+        raise DimensionMismatch("expected a sequence of (value, weight) pairs")
     values, weights = data[:, 0], data[:, 1]
     if not np.all(np.isfinite(data)):
         raise NonFiniteValue("values and weights must be finite")

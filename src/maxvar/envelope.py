@@ -57,7 +57,7 @@ class EnvelopeDensity:
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1 or len(q) == 0:
-            raise ValueError("q must be a nonempty 1-d array")
+            raise DimensionMismatch("q must be a nonempty 1-d array")
         if not np.all(np.isfinite(q)):
             raise OutOfRange("density entries must be finite")
         if np.any(q < -_FEAS_TOL):

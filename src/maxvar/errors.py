@@ -34,7 +34,8 @@ class BudgetTooSmall(RiskError):
 
 
 class DimensionMismatch(RiskError):
-    """An array argument does not match the atom count of its distribution."""
+    """An array argument has the wrong shape, or does not match the atom count
+    of its distribution."""
 
 
 class InfeasibleFamily(RiskError):

@@ -30,12 +30,12 @@ from maxvar import (
     minvar,
     mixture_density,
     run_suite,
-    sample_data_path,
     suggest_rule,
     var,
     weight,
 )
 from maxvar.axioms import _random_feasible_family, random_distribution
+from maxvar.cli import sample_data_path
 from maxvar.envelope import DiscreteMixtureSpec
 
 from helpers import bernoulli_half, brute_force_maxvar, d4

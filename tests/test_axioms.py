@@ -3,6 +3,7 @@ import pytest
 
 from maxvar import (
     BudgetTooSmall,
+    DimensionMismatch,
     OutOfRange,
     PairedScenarios,
     PreconditionViolated,
@@ -34,7 +35,7 @@ class TestPairedScenarios:
         assert p.sum_law().values.tolist() == [0.0]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             PairedScenarios(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]))
         with pytest.raises(OutOfRange):
             PairedScenarios(np.array([1.0]), np.array([1.0]), np.array([0.0]))

@@ -16,11 +16,13 @@ from maxvar import (
     NegativeProb,
     OutOfRange,
     ParseError,
-    PortfolioSpec,
     ProbSumMismatch,
+    UnknownColumn,
+)
+from maxvar.cli import (
+    PortfolioSpec,
     RiskQuery,
     ScenarioTable,
-    UnknownColumn,
     emit_curve,
     emit_envelope,
     emit_table,
@@ -50,6 +52,11 @@ class TestLoadCsv:
         assert t.columns == ("loss",)
         assert t.probs is None
         assert t.scenario_probs.tolist() == [0.25] * 4
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        t = load_csv(write(tmp_path, "\ufeffloss,prob\n1,0.5\n2,0.5\n"))
+        assert t.columns == ("loss",)
+        assert t.column("loss").tolist() == [1.0, 2.0]
 
     def test_prob_column_extracted(self, tmp_path):
         t = load_csv(write(tmp_path, "loss,prob\n1,0.1\n2,0.2\n3,0.3\n4,0.4\n"))
@@ -339,6 +346,25 @@ class TestCliExitCodes:
         assert run_cli("maxvar", "--column", "loss", "--n", "junk").returncode == 1
         assert run_cli("var", "--column", "loss", "--alpha", "junk").returncode == 1
         assert run_cli("curve", "--column", "loss", "--n", "1:junk").returncode == 1
+        # grid entries outside the domain of n or alpha
+        assert run_cli("curve", "--column", "loss", "--n", "0:3").returncode == 1
+        assert run_cli("curve", "--column", "loss", "--alpha", "0.5,1").returncode == 1
+        assert run_cli("curve", "--column", "loss", "--alpha", "-0.1").returncode == 1
+
+    def test_missing_input_exits_two(self, tmp_path):
+        result = run_cli(
+            "maxvar", "--input", str(tmp_path / "absent.csv"), "--column", "loss", "--n", "2"
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_unwritable_output_exits_two(self, tmp_path):
+        out = tmp_path / "no-such-dir" / "result.json"
+        result = run_cli("maxvar", "--column", "loss", "--n", "2", "--output", str(out))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_unknown_column_exits_two(self):
         result = run_cli("maxvar", "--column", "nope", "--n", "2")
@@ -354,3 +380,13 @@ class TestCliExitCodes:
         assert out.read_text(encoding="utf-8") == (GOLDEN / "maxvar.json").read_text(
             encoding="utf-8"
         )
+
+
+def test_library_import_does_not_load_the_cli():
+    code = (
+        "import maxvar, sys; "
+        "assert 'maxvar.cli' not in sys.modules and 'argparse' not in sys.modules; "
+        "import maxvar.cli; assert maxvar.load_csv is maxvar.cli.load_csv"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
