@@ -19,6 +19,7 @@ from ._serialize import render_json
 from .dist import (
     EmpiricalDistribution,
     SeededSampler,
+    _sum,
     abs_expectation,
     affine,
     expectation,
@@ -61,7 +62,7 @@ class PairedScenarios:
             raise OutOfRange("scenario values and probabilities must be finite")
         if np.any(probs <= 0.0):
             raise OutOfRange("scenario probabilities must be > 0")
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
+        if abs(_sum(probs) - 1.0) > 1e-12:
             raise OutOfRange("scenario probabilities must sum to 1 within 1e-12")
         for name, arr in (("x", x), ("y", y), ("probs", probs)):
             arr = arr.copy()
@@ -75,7 +76,7 @@ class PairedScenarios:
         if weights is None:
             weights = np.ones(len(x))
         weights = np.asarray(weights, dtype=float)
-        return cls(x, y, weights / math.fsum(weights))
+        return cls(x, y, weights / _sum(weights))
 
     def marginal_x(self) -> EmpiricalDistribution:
         return from_samples(np.column_stack([self.x, self.probs]))
@@ -93,7 +94,7 @@ class PairedScenarios:
         )
 
     def mean_abs_diff(self) -> float:
-        return math.fsum(np.abs(self.x - self.y) * self.probs)
+        return _sum(np.abs(self.x - self.y) * self.probs)
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def _random_feasible_family(
     densities = []
     for lo in bounds[:-1]:
         raw = gen.uniform(0.0, 2.0, size=d.atom_count) + 1e-3
-        q = raw / math.fsum(raw * d.probs)
+        q = raw / _sum(raw * d.probs)
         cap = 1.0 / (1.0 - lo)  # pointwise bound over the whole segment
         over = q > cap
         gamma = 1.0

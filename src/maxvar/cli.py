@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data/verification error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import math
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from . import axioms
 from ._serialize import format_number, render_json
 from .axioms import CheckRecord, VerificationReport, run_suite
-from .dist import EmpiricalDistribution, SeededSampler, affine, from_samples
+from .dist import EmpiricalDistribution, SeededSampler, _sum, affine, from_samples
 from .envelope import extremal_density
 from .errors import (
     AllZeroWeights,
@@ -108,7 +109,7 @@ class ScenarioTable:
                 raise ParseError("probability column length does not match the rows")
             if np.any(probs <= 0.0):
                 raise NegativeProb("scenario probabilities must be > 0")
-            if abs(math.fsum(probs) - 1.0) > 1e-12:
+            if abs(_sum(probs) - 1.0) > 1e-12:
                 raise ProbSumMismatch("scenario probabilities must sum to 1")
             probs.setflags(write=False)
             object.__setattr__(self, "probs", probs)
@@ -186,9 +187,18 @@ def load_csv(path) -> ScenarioTable:
     off by more than 1e-9 raise ProbSumMismatch; smaller drift is
     renormalized exactly.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")  # spreadsheets prepend a BOM
+    raw = Path(path).read_bytes()
+    body = raw.removeprefix(codecs.BOM_UTF8)  # spreadsheets prepend a BOM
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = len(raw) - len(body) + exc.start
+        raise ParseError(f"{path}: not valid UTF-8 at byte {offset}") from None
     reader = csv.reader(text.splitlines())
-    table = [row for row in reader if row]
+    try:
+        table = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not table:
         raise MissingHeader(f"{path}: file is empty")
     header = [cell.strip() for cell in table[0]]
@@ -196,10 +206,11 @@ def load_csv(path) -> ScenarioTable:
         raise MissingHeader(f"{path}: blank column name in header")
     for name in header:
         try:
-            float(name)
+            is_data = math.isfinite(float(name))
         except ValueError:
             continue
-        raise MissingHeader(f"{path}: header cell {name!r} looks like data")
+        if is_data:
+            raise MissingHeader(f"{path}: header cell {name!r} looks like data")
     if len(set(header)) != len(header):
         raise ParseError(f"{path}: duplicate column names in header")
     if len(table) == 1:
@@ -228,7 +239,7 @@ def load_csv(path) -> ScenarioTable:
         header = header[:j] + header[j + 1 :]
         if np.any(probs <= 0.0):
             raise NegativeProb(f"{path}: probabilities must be > 0")
-        total = math.fsum(probs)
+        total = _sum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ProbSumMismatch(f"{path}: probabilities sum to {total!r}, not 1")
         probs = probs / total
@@ -311,7 +322,7 @@ def emit_envelope(t: ScenarioTable, p: PortfolioSpec, nc) -> str:
     """Extremal density as CSV rows (value, prob, q) plus an E[XQ] comment."""
     law = portfolio_law(t, p)
     q = extremal_density(law, nc).q
-    attained = math.fsum(law.values * q * law.probs)
+    attained = _sum(law.values * q * law.probs)
     rows = [
         f"{format_number(float(v))},{format_number(float(pr))},{format_number(float(qk))}"
         for v, pr, qk in zip(law.values, law.probs, q)

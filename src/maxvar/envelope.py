@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EmpiricalDistribution
+from .dist import EmpiricalDistribution, _sum
 from .errors import (
     DimensionMismatch,
     InfeasibleFamily,
@@ -157,9 +157,9 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
                 raise InfeasibleFamily(
                     f"segment [{seg.lo}, {seg.hi}) exceeds the CVaR bound at level {a}"
                 )
-        if abs(math.fsum(seg.flat * d.probs) - 1.0) > _FEAS_TOL:
+        if abs(_sum(seg.flat * d.probs) - 1.0) > _FEAS_TOL:
             raise InfeasibleFamily(f"segment [{seg.lo}, {seg.hi}) mean is not 1")
-        if abs(math.fsum(seg.tail * d.probs)) > _FEAS_TOL:
+        if abs(_sum(seg.tail * d.probs)) > _FEAS_TOL:
             raise InfeasibleFamily(
                 f"segment [{seg.lo}, {seg.hi}) tail component has nonzero mean"
             )
@@ -249,7 +249,7 @@ def core_check(
         for j in ends[np.abs(violations) <= tol]:
             members = np.sort(d.values[order[: j + 1]])
             tight.append(tuple(members.tolist()))
-    mean_gap = math.fsum(q * d.probs) - 1.0
+    mean_gap = _sum(q * d.probs) - 1.0
     max_violation = float(np.max(violations))
     passed = max_violation <= tol and abs(mean_gap) <= tol
     return CoreCheckReport(
@@ -301,7 +301,7 @@ class DiscreteMixtureSpec:
                 raise OutOfRange(f"mixture weights must be > 0, got {lam!r}")
             if not (math.isfinite(alpha) and 0.0 <= alpha < 1.0):
                 raise OutOfRange(f"mixture levels must be in [0, 1), got {alpha!r}")
-        total = math.fsum(lam for lam, _ in levels)
+        total = _sum(lam for lam, _ in levels)
         if abs(total - 1.0) > 1e-12:
             raise OutOfRange(f"mixture weights sum to {total!r}, not 1")
         object.__setattr__(self, "levels", levels)
@@ -329,12 +329,12 @@ def discrete_envelope_check(
             )
         if np.any(q < -_FEAS_TOL) or np.any(q > 1.0 / (1.0 - alpha) + _FEAS_TOL):
             raise InfeasiblePart(f"part at level {alpha} violates 0 <= Q <= 1/(1-alpha)")
-        if abs(math.fsum(q * d.probs) - 1.0) > _FEAS_TOL:
+        if abs(_sum(q * d.probs) - 1.0) > _FEAS_TOL:
             raise InfeasiblePart(f"part at level {alpha} does not have unit mean")
         combined += lam * q
         bound_terms.append(lam * cvar_min(d, alpha).value)
-    attained = math.fsum(d.values * combined * d.probs)
-    bound = math.fsum(bound_terms)
+    attained = _sum(d.values * combined * d.probs)
+    bound = _sum(bound_terms)
     if attained > bound + 1e-9:
         raise NotInEnvelope(
             f"mixture density attains {attained!r} above its CVaR bound {bound!r}"
@@ -353,4 +353,4 @@ def dual_gap(d: EmpiricalDistribution, nc, e: EnvelopeDensity) -> float:
             f"density fails membership: max violation {report.max_violation!r}, "
             f"mean gap {report.mean_gap!r}"
         )
-    return maxvar_choquet(d, n) - math.fsum(d.values * e.q * d.probs)
+    return maxvar_choquet(d, n) - _sum(d.values * e.q * d.probs)

@@ -15,8 +15,8 @@ Conventions, fixed once for the whole package:
   w_n(a) = n(n-1)(1-a)a^(n-2) and 0^0 = 1; the induced distortion is
   h(x) = 1 - (1-x)^n.
 
-Summation is compensated and runs over atoms in ascending order, so
-cross-route comparisons have deterministic rounding.
+Summation is correctly rounded, via ``dist._sum``, and runs over atoms in
+ascending order, so cross-route comparisons have deterministic rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EmpiricalDistribution, SeededSampler, affine, expectation, sample
+from .dist import EmpiricalDistribution, SeededSampler, _sum, affine, expectation, sample
 from .errors import BudgetTooSmall, OutOfRange
 
 
@@ -137,7 +137,7 @@ def cvar_choquet(d: EmpiricalDistribution, a) -> float:
         return float(d.values[0])
     gaps = np.diff(d.values)
     g = np.minimum(d.survival[:-1] / (1.0 - alpha), 1.0)
-    return float(d.values[0] + math.fsum(gaps * g))
+    return float(d.values[0] + _sum(gaps * g))
 
 
 def _cvar_profile(d: EmpiricalDistribution, alphas: np.ndarray) -> np.ndarray:
@@ -226,7 +226,7 @@ def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
     n = _copy_count(nc)
     powered = d.cumulative**n
     layers = np.diff(powered, prepend=0.0)
-    return float(math.fsum(d.values * layers))
+    return float(_sum(d.values * layers))
 
 
 def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
@@ -242,7 +242,7 @@ def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
     cum = d.cumulative
     layers = np.diff(cum**n, prepend=0.0)
     atoms = d.values[np.searchsorted(cum, cum, side="left")]
-    return float(math.fsum(atoms * layers))
+    return float(_sum(atoms * layers))
 
 
 def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
@@ -261,7 +261,7 @@ def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
     d_w = _weight_cdf_arr(n, hi) - _weight_cdf_arr(n, lo)
     d_tail = _weight_over_tail_arr(n, hi) - _weight_over_tail_arr(n, lo)
     tails = _upper_tail_expectations(d)
-    return float(math.fsum(d.values * d_w) + math.fsum(tails * d_tail))
+    return float(_sum(d.values * d_w) + _sum(tails * d_tail))
 
 
 def quadrature_breakpoints(d: EmpiricalDistribution) -> np.ndarray:
@@ -308,8 +308,8 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
         half = 0.5 * (b - a)
         x = 0.5 * (a + b) + half * nodes
         integrand = _cvar_profile(d, x) * (n * (n - 1) * (1.0 - x) * x ** (n - 2))
-        panel_sums.append(half * math.fsum(gl_weights * integrand))
-    return math.fsum(panel_sums)
+        panel_sums.append(half * _sum(gl_weights * integrand))
+    return _sum(panel_sums)
 
 
 def maxvar_mc(
@@ -326,7 +326,7 @@ def maxvar_mc(
         raise BudgetTooSmall("need at least 2 trials for a standard error")
     draws = sample(d, s, trials * n).reshape(trials, n)
     maxima = draws.max(axis=1)
-    estimate = math.fsum(maxima) / trials
+    estimate = _sum(maxima) / trials
     std_error = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
     return McEstimate(estimate=estimate, std_error=std_error, trials=trials, seed=s.seed)
 

@@ -75,6 +75,12 @@ class TestLoadCsv:
         with pytest.raises(MissingHeader):
             load_csv(write(tmp_path, "1,2\n3,4\n"))
 
+    def test_only_finite_numbers_look_like_data_in_the_header(self, tmp_path):
+        t = load_csv(write(tmp_path, "inf,x,nan\n1,2,3\n"))
+        assert t.columns == ("inf", "x", "nan")
+        with pytest.raises(MissingHeader, match="'1.5' looks like data"):
+            load_csv(write(tmp_path, "1.5,x\n1,2\n"))
+
     def test_negative_prob(self, tmp_path):
         with pytest.raises(NegativeProb):
             load_csv(write(tmp_path, "loss,prob\n1,-0.5\n2,1.5\n"))
@@ -362,6 +368,22 @@ class TestCliExitCodes:
     def test_unwritable_output_exits_two(self, tmp_path):
         out = tmp_path / "no-such-dir" / "result.json"
         result = run_cli("maxvar", "--column", "loss", "--n", "2", "--output", str(out))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_non_utf8_input_exits_two(self, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"loss\n1\n\xff2\n")
+        result = run_cli("maxvar", "--input", str(bad), "--column", "loss", "--n", "2")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "byte 7" in result.stderr
+
+    def test_oversized_field_exits_two(self, tmp_path):
+        big = write(tmp_path, 'loss\n1\n"' + "9" * 140_000 + '"\n')
+        result = run_cli("maxvar", "--input", str(big), "--column", "loss", "--n", "2")
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

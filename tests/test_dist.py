@@ -20,6 +20,7 @@ from maxvar import (
     quantile,
     sample,
 )
+from maxvar.dist import _SUM_CHUNK, _SUM_MIN_SIZE, _sum
 
 from helpers import d4
 
@@ -225,3 +226,74 @@ class TestSampler:
         for v, f in zip(d.values, d.cumulative):
             emp = float(np.count_nonzero(draws <= v)) / count
             assert abs(emp - f) <= eps
+
+
+# Lengths on both sides of the fsum cut-off and of a chunk boundary.
+SUM_LENGTHS = (
+    3,
+    _SUM_MIN_SIZE - 1,
+    _SUM_MIN_SIZE,
+    _SUM_MIN_SIZE + 1,
+    _SUM_CHUNK - 1,
+    _SUM_CHUNK,
+    _SUM_CHUNK + 1,
+    2 * _SUM_CHUNK + 7,
+)
+
+
+def sum_outcome(f, x):
+    """The result's bits (hex keeps the sign of zero), or the error type."""
+    try:
+        return f(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def sum_inputs(draw):
+    n = draw(st.sampled_from(SUM_LENGTHS))
+    kind = draw(st.sampled_from(["cancel", "subnormal", "wide", "zeros", "drawn"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cancel":
+        half = (n - 1) // 2
+        y = rng.standard_normal(half) * 10.0 ** rng.integers(-20, 21, half)
+        dust = rng.standard_normal(n - 2 * half) * 10.0 ** rng.integers(-320, -20, n - 2 * half)
+        x = rng.permutation(np.concatenate([y, -y, dust]))
+    elif kind == "subnormal":
+        x = rng.integers(-(2**52), 2**52, n) * 2.0**-1074
+        x[rng.random(n) < 0.1] *= 2.0**60
+    elif kind == "wide":
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    elif kind == "zeros":
+        x = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), 0.0, -0.0)
+    else:
+        # few distinct values repeated: infinities, nan and 1e308 included
+        x = np.resize(np.array(draw(st.lists(st.floats(), min_size=1, max_size=6))), n)
+    if draw(st.booleans()):
+        x = np.repeat(x, 2)[::2]  # a strided view, like a CSV column
+    return x
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(sum_inputs())
+    def test_bit_identical_to_fsum(self, x):
+        assert sum_outcome(_sum, x) == sum_outcome(math.fsum, x)
+
+    def test_intermediate_overflow_raises_like_fsum(self):
+        # exactly 1e308, but fsum overflows on the way; _sum must not differ
+        for x in ([1e308, 1e308, -1e308], np.resize([1e308, 1e308, -1e308], 3 * _SUM_MIN_SIZE)):
+            with pytest.raises(OverflowError):
+                math.fsum(x)
+            with pytest.raises(OverflowError):
+                _sum(x)
+
+    def test_large_arrays_do_not_call_fsum(self, monkeypatch):
+        x = np.linspace(-1.0, 3.0, _SUM_MIN_SIZE)
+        expected = math.fsum(x)
+
+        def no_fsum(values):
+            raise AssertionError("math.fsum called above the size cut-off")
+
+        monkeypatch.setattr(math, "fsum", no_fsum)
+        assert _sum(x) == expected
