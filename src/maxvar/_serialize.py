@@ -8,13 +8,23 @@ from __future__ import annotations
 
 import json
 
+# 17 significant digits: enough for every double to round-trip.
+_FLOAT_SPEC = ".17g"
+
 
 def format_number(x: float | int) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    return f"{x:.17g}"
+    return format(x, _FLOAT_SPEC)
+
+
+def format_rows(*columns) -> list[str]:
+    """CSV data rows from equal-length float arrays, one row per index, each
+    number printed as :func:`format_number` prints a float."""
+    row = ",".join(["{:" + _FLOAT_SPEC + "}"] * len(columns)).format
+    return [row(*values) for values in zip(*(c.tolist() for c in columns))]
 
 
 def render_json(doc, indent: int = 2) -> str:

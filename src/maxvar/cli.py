@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axioms
-from ._serialize import format_number, render_json
+from ._serialize import format_number, format_rows, render_json
 from .axioms import CheckRecord, VerificationReport, run_suite
 from .dist import EmpiricalDistribution, SeededSampler, _sum, affine, from_samples
 from .envelope import extremal_density
@@ -180,46 +180,30 @@ class RiskQuery:
             raise OutOfRange("a quadrature rule only applies to method=mixture-quad")
 
 
-def load_csv(path) -> ScenarioTable:
-    """Parse a scenario CSV (see module notes for the format).
+def _convert_cells(widths: list[int], cells: list[str], width: int) -> np.ndarray | None:
+    """Every cell through ``float()`` in one pass, as a (rows, width) array;
+    None if a row has the wrong width or a cell is not a finite number."""
+    if set(widths) != {width}:
+        return None
+    try:
+        parsed = np.fromiter(map(float, cells), float, count=len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(parsed).all():
+        return None
+    return parsed.reshape(len(widths), width)
 
-    Parse failures name the 1-based data row and the column. Probabilities
-    off by more than 1e-9 raise ProbSumMismatch; smaller drift is
-    renormalized exactly.
-    """
-    raw = Path(path).read_bytes()
-    body = raw.removeprefix(codecs.BOM_UTF8)  # spreadsheets prepend a BOM
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        offset = len(raw) - len(body) + exc.start
-        raise ParseError(f"{path}: not valid UTF-8 at byte {offset}") from None
-    reader = csv.reader(text.splitlines())
-    try:
-        table = [row for row in reader if row]
-    except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not table:
-        raise MissingHeader(f"{path}: file is empty")
-    header = [cell.strip() for cell in table[0]]
-    if not header or any(not name for name in header):
-        raise MissingHeader(f"{path}: blank column name in header")
-    for name in header:
-        try:
-            is_data = math.isfinite(float(name))
-        except ValueError:
-            continue
-        if is_data:
-            raise MissingHeader(f"{path}: header cell {name!r} looks like data")
-    if len(set(header)) != len(header):
-        raise ParseError(f"{path}: duplicate column names in header")
-    if len(table) == 1:
-        raise EmptyInput(f"{path}: no scenario rows after the header")
-    parsed = np.empty((len(table) - 1, len(header)))
-    for i, row in enumerate(table[1:], start=1):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
+
+def _parse_cells(path, header: list[str], widths: list[int], cells: list[str]) -> np.ndarray:
+    """Row-major cell by cell, raising ParseError at the first bad row or
+    cell (a row's width is checked before its cells)."""
+    parsed = np.empty((len(widths), len(header)))
+    end = 0
+    for i, width in enumerate(widths, start=1):
+        if width != len(header):
+            raise ParseError(f"{path}: row {i} has {width} cells, expected {len(header)}")
+        start, end = end, end + width
+        for j, cell in enumerate(cells[start:end]):
             try:
                 value = float(cell)
             except ValueError:
@@ -231,6 +215,60 @@ def load_csv(path) -> ScenarioTable:
                     f"{path}: row {i}, column {header[j]!r}: non-finite value"
                 )
             parsed[i - 1, j] = value
+    return parsed
+
+
+def load_csv(path) -> ScenarioTable:
+    """Parse a scenario CSV (see module notes for the format).
+
+    Fields are split and unquoted by the ``csv`` module, and a cell is
+    accepted exactly when Python's ``float()`` reads it as a finite number
+    (so ``1_000``, space-padded cells and full-width digits load, while
+    ``nan``, ``inf`` and ``1e500`` are refused). Parse failures name
+    the 1-based data row and the column. Probabilities off by more than 1e-9
+    raise ProbSumMismatch; smaller drift is renormalized exactly.
+    """
+    raw = Path(path).read_bytes()
+    body = raw.removeprefix(codecs.BOM_UTF8)  # spreadsheets prepend a BOM
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = len(raw) - len(body) + exc.start
+        raise ParseError(f"{path}: not valid UTF-8 at byte {offset}") from None
+    reader = csv.reader(text.splitlines())
+    lines = filter(None, reader)  # blank lines are skipped
+    # Data rows are kept as their widths and one flat list of cells. Each
+    # row list is freed as soon as it is read, so the cyclic garbage
+    # collector never runs here; keeping 10^4 row lists alive cost 3-7 ms
+    # of collections per load on a 2-core Xeon (more with more live objects).
+    widths: list[int] = []
+    cells: list[str] = []
+    try:
+        first = next(lines, None)
+        for row in lines:
+            widths.append(len(row))
+            cells += row
+    except csv.Error as exc:  # e.g. a field above csv.field_size_limit()
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if first is None:
+        raise MissingHeader(f"{path}: file is empty")
+    header = [cell.strip() for cell in first]
+    if not header or any(not name for name in header):
+        raise MissingHeader(f"{path}: blank column name in header")
+    for name in header:
+        try:
+            is_data = math.isfinite(float(name))
+        except ValueError:
+            continue
+        if is_data:
+            raise MissingHeader(f"{path}: header cell {name!r} looks like data")
+    if len(set(header)) != len(header):
+        raise ParseError(f"{path}: duplicate column names in header")
+    if not widths:
+        raise EmptyInput(f"{path}: no scenario rows after the header")
+    parsed = _convert_cells(widths, cells, len(header))
+    if parsed is None:  # some row or cell is bad: find the first and name it
+        parsed = _parse_cells(path, header, widths, cells)
     probs = None
     if PROB_COLUMN in header:
         j = header.index(PROB_COLUMN)
@@ -289,12 +327,11 @@ def _csv_lines(header: str, rows) -> str:
 def emit_table(t: ScenarioTable) -> str:
     """Table back to CSV with 17-digit numbers (bit-exact round trip)."""
     columns = list(t.columns)
-    grid = t.rows
+    data = list(t.rows.T)
     if t.probs is not None:
         columns.append(PROB_COLUMN)
-        grid = np.column_stack([t.rows, t.probs])
-    rows = (",".join(format_number(float(x)) for x in row) for row in grid)
-    return _csv_lines(",".join(columns), rows)
+        data.append(t.probs)
+    return _csv_lines(",".join(columns), format_rows(*data))
 
 
 def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
@@ -323,10 +360,7 @@ def emit_envelope(t: ScenarioTable, p: PortfolioSpec, nc) -> str:
     law = portfolio_law(t, p)
     q = extremal_density(law, nc).q
     attained = _sum(law.values * q * law.probs)
-    rows = [
-        f"{format_number(float(v))},{format_number(float(pr))},{format_number(float(qk))}"
-        for v, pr, qk in zip(law.values, law.probs, q)
-    ]
+    rows = format_rows(law.values, law.probs, q)
     rows.append(f"# E[XQ]={format_number(attained)}")
     return _csv_lines("value,prob,q", rows)
 

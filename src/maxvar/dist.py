@@ -148,6 +148,14 @@ class EmpiricalDistribution:
         surv.setflags(write=False)
         return surv
 
+    @cached_property
+    def upper_tails(self) -> np.ndarray:
+        """E(X - v_k)_+ per atom, accumulated from the top atom down."""
+        terms = np.diff(self.values) * self.survival[:-1]
+        tails = np.append(np.cumsum(terms[::-1])[::-1], 0.0)
+        tails.setflags(write=False)
+        return tails
+
 
 @dataclass(frozen=True)
 class CdfValue:

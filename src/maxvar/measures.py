@@ -108,14 +108,6 @@ def _var_index(d: EmpiricalDistribution, alpha: float) -> int:
     return int(np.searchsorted(-d.survival, -(1.0 - alpha), side="right"))
 
 
-def _upper_tail_expectations(d: EmpiricalDistribution) -> np.ndarray:
-    """E(X - v_k)_+ for every atom, built from the top atom down."""
-    if d.atom_count == 1:
-        return np.zeros(1)
-    terms = np.diff(d.values) * d.survival[:-1]
-    return np.append(np.cumsum(terms[::-1])[::-1], 0.0)
-
-
 def var(d: EmpiricalDistribution, a) -> float:
     """Value-at-Risk with the strict tail inequality (see module notes)."""
     alpha = _alpha_value(a)
@@ -125,7 +117,7 @@ def var(d: EmpiricalDistribution, a) -> float:
 def cvar_min(d: EmpiricalDistribution, a) -> CvarResult:
     """CVaR by exact minimization of b + E(X - b)_+ / (1 - alpha) over atoms."""
     alpha = _alpha_value(a)
-    objective = d.values + _upper_tail_expectations(d) / (1.0 - alpha)
+    objective = d.values + d.upper_tails / (1.0 - alpha)
     return CvarResult(value=float(np.min(objective)), beta_star=var(d, alpha))
 
 
@@ -145,8 +137,7 @@ def _cvar_profile(d: EmpiricalDistribution, alphas: np.ndarray) -> np.ndarray:
     :func:`cvar_choquet` (grouped as beta* + tail/(1-alpha))."""
     alphas = np.asarray(alphas, dtype=float)
     idx = np.searchsorted(d.cumulative, alphas, side="right")
-    tails = _upper_tail_expectations(d)
-    return d.values[idx] + tails[idx] / (1.0 - alphas)
+    return d.values[idx] + d.upper_tails[idx] / (1.0 - alphas)
 
 
 def g_alpha(a, x: float) -> float:
@@ -260,8 +251,7 @@ def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
     lo = np.concatenate(([0.0], hi[:-1]))
     d_w = _weight_cdf_arr(n, hi) - _weight_cdf_arr(n, lo)
     d_tail = _weight_over_tail_arr(n, hi) - _weight_over_tail_arr(n, lo)
-    tails = _upper_tail_expectations(d)
-    return float(_sum(d.values * d_w) + _sum(tails * d_tail))
+    return float(_sum(d.values * d_w) + _sum(d.upper_tails * d_tail))
 
 
 def quadrature_breakpoints(d: EmpiricalDistribution) -> np.ndarray:
@@ -318,7 +308,9 @@ def maxvar_mc(
     """Monte Carlo maxvar: average of the max of n fresh draws per trial.
 
     Deterministic for a given sampler state; the reported standard error is
-    the sample standard deviation over trials divided by sqrt(trials).
+    the sample standard deviation over trials divided by sqrt(trials). When
+    every trial's maximum is the same value, that value is the estimate and
+    ``std_error`` is 0.0: a standard error of 0 means the estimate is exact.
     """
     n = _copy_count(nc)
     trials = int(trials)
@@ -326,8 +318,11 @@ def maxvar_mc(
         raise BudgetTooSmall("need at least 2 trials for a standard error")
     draws = sample(d, s, trials * n).reshape(trials, n)
     maxima = draws.max(axis=1)
-    estimate = _sum(maxima) / trials
-    std_error = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
+    if maxima.min() == maxima.max():
+        estimate, std_error = float(maxima[0]), 0.0
+    else:
+        estimate = _sum(maxima) / trials
+        std_error = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
     return McEstimate(estimate=estimate, std_error=std_error, trials=trials, seed=s.seed)
 
 

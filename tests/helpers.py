@@ -1,11 +1,23 @@
 """Shared test oracles, independent of the library's evaluation paths."""
 
+import codecs
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
-from maxvar import EmpiricalDistribution, from_samples
+from maxvar import (
+    EmptyInput,
+    EmpiricalDistribution,
+    MissingHeader,
+    NegativeProb,
+    ParseError,
+    ProbSumMismatch,
+    from_samples,
+)
+from maxvar.cli import PROB_COLUMN, ScenarioTable
 
 
 def d4() -> EmpiricalDistribution:
@@ -55,3 +67,70 @@ def random_small_dist(rng: np.random.Generator, max_atoms: int = 6) -> Empirical
     values = rng.uniform(-100.0, 100.0, size=m)
     weights = rng.uniform(0.05, 1.0, size=m)
     return from_samples(np.column_stack([values, weights]))
+
+
+def load_csv_per_cell(path) -> ScenarioTable:
+    """Reference scenario-CSV parser that ``maxvar.cli.load_csv`` must match:
+    the whole table is tokenized first, then every cell goes through
+    ``float()`` row by row and the first bad row or cell raises. Sums use
+    ``math.fsum``, which the library's exact sum matches bit for bit.
+    """
+    raw = Path(path).read_bytes()
+    body = raw.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = len(raw) - len(body) + exc.start
+        raise ParseError(f"{path}: not valid UTF-8 at byte {offset}") from None
+    reader = csv.reader(text.splitlines())
+    try:
+        table = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not table:
+        raise MissingHeader(f"{path}: file is empty")
+    header = [cell.strip() for cell in table[0]]
+    if not header or any(not name for name in header):
+        raise MissingHeader(f"{path}: blank column name in header")
+    for name in header:
+        try:
+            is_data = math.isfinite(float(name))
+        except ValueError:
+            continue
+        if is_data:
+            raise MissingHeader(f"{path}: header cell {name!r} looks like data")
+    if len(set(header)) != len(header):
+        raise ParseError(f"{path}: duplicate column names in header")
+    if len(table) == 1:
+        raise EmptyInput(f"{path}: no scenario rows after the header")
+    parsed = np.empty((len(table) - 1, len(header)))
+    for i, row in enumerate(table[1:], start=1):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {i}, column {header[j]!r}: cannot parse {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {i}, column {header[j]!r}: non-finite value"
+                )
+            parsed[i - 1, j] = value
+    probs = None
+    if PROB_COLUMN in header:
+        j = header.index(PROB_COLUMN)
+        probs = parsed[:, j]
+        parsed = np.delete(parsed, j, axis=1)
+        header = header[:j] + header[j + 1 :]
+        if np.any(probs <= 0.0):
+            raise NegativeProb(f"{path}: probabilities must be > 0")
+        total = math.fsum(probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ProbSumMismatch(f"{path}: probabilities sum to {total!r}, not 1")
+        probs = probs / total
+        if not header:
+            raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
+    return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)

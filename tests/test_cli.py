@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxvar import (
@@ -20,6 +20,7 @@ from maxvar import (
     UnknownColumn,
 )
 from maxvar.cli import (
+    PROB_COLUMN,
     PortfolioSpec,
     RiskQuery,
     ScenarioTable,
@@ -31,6 +32,8 @@ from maxvar.cli import (
     run_query,
     sample_data_path,
 )
+
+from helpers import load_csv_per_cell
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,6 +109,69 @@ class TestLoadCsv:
     def test_duplicate_columns_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(write(tmp_path, "a,a\n1,2\n"))
+
+
+# Cells that float() reads in ways a number parser other than float() may
+# not (underscores, padding, non-ASCII digits, subnormals, signed zero),
+# non-finite and unparseable cells, and csv quoting: a quoted comma, a
+# quoted line break and an unterminated quote.
+ODD_CELLS = (
+    "1_000", " 2 ", "\u3000-7\t", "\uff11\uff12.5", "\u0663", "-0", "1e-320", "0x10",
+    "", "x", "1__0", '"3"', '" 4 "', '"1,5"', '"1\n2"', '"5',
+)
+NON_FINITE_CELLS = ("nan", "-NaN", "inf", "-Infinity", "1e500")
+
+
+@st.composite
+def scenario_files(draw):
+    """Bytes of a scenario CSV: valid 17-digit cells, then a few defects
+    (odd or non-finite cells, short or long rows, blank lines), in CRLF or
+    LF, with or without a byte-order mark."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", PROB_COLUMN]),
+                          min_size=1, max_size=3, unique=True))
+    count = draw(st.integers(1, 6))
+    number = st.floats(-1e12, 1e12, allow_nan=False).map(lambda x: f"{x:.17g}")
+    rows = [
+        [f"{1 / count:.17g}" if name == PROB_COLUMN else draw(number) for name in names]
+        for _ in range(count)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        kind = draw(st.sampled_from(["odd", "non-finite", "short", "long", "blank"]))
+        if kind == "blank":
+            rows.insert(i, [])
+        elif kind == "short":
+            del row[-1:]
+        elif kind == "long":
+            row.append(draw(number))
+        elif row:
+            cells = ODD_CELLS if kind == "odd" else NON_FINITE_CELLS
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names), *(",".join(row) for row in rows)]
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8")
+
+
+def _load_outcome(load, path):
+    try:
+        t = load(path)
+    except Exception as exc:  # the differential compares errors too
+        return type(exc), str(exc)
+    probs = None if t.probs is None else t.probs.tobytes()
+    return t.columns, t.rows.shape, t.rows.tobytes(), probs
+
+
+class TestLoadCsvMatchesPerCellParser:
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_files())
+    def test_same_table_or_same_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_bytes(data)
+            assert _load_outcome(load_csv, p) == _load_outcome(load_csv_per_cell, p)
 
 
 class TestRoundTrip:

@@ -274,9 +274,10 @@ class TestMixtureQuad:
 
 class TestMonteCarlo:
     def test_constant_has_zero_error(self):
-        est = maxvar_mc(from_samples([(4.2, 1)]), 3, 100, SeededSampler(1))
-        assert est.estimate == 4.2
-        assert est.std_error == 0.0
+        for value, trials in ((4.2, 100), (0.1, 3)):
+            est = maxvar_mc(from_samples([(value, 1)]), 3, trials, SeededSampler(1))
+            assert est.estimate == value
+            assert est.std_error == 0.0
 
     def test_d4_pair_max_within_four_se(self):
         est = maxvar_mc(d4(), 2, 10**6, SeededSampler(314159))
