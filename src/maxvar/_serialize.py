@@ -27,17 +27,17 @@ def format_rows(*columns) -> list[str]:
     return [row(*values) for values in zip(*(c.tolist() for c in columns))]
 
 
-def render_json(doc, indent: int = 2) -> str:
+def render_json(doc) -> str:
     """Render dicts/lists/str/float/int/bool/None with stable formatting."""
     out: list[str] = []
-    _render(doc, out, 0, indent)
+    _render(doc, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _render(node, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(node, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -45,7 +45,7 @@ def _render(node, out: list[str], level: int, indent: int) -> None:
         out.append("{\n")
         for i, (key, value) in enumerate(node.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _render(value, out, level + 1, indent)
+            _render(value, out, level + 1)
             out.append(",\n" if i + 1 < len(node) else "\n")
         out.append(f"{close_pad}}}")
     elif isinstance(node, (list, tuple)):
@@ -55,7 +55,7 @@ def _render(node, out: list[str], level: int, indent: int) -> None:
         out.append("[\n")
         for i, value in enumerate(node):
             out.append(pad)
-            _render(value, out, level + 1, indent)
+            _render(value, out, level + 1)
             out.append(",\n" if i + 1 < len(node) else "\n")
         out.append(f"{close_pad}]")
     elif isinstance(node, str):

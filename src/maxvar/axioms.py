@@ -19,6 +19,7 @@ from ._serialize import render_json
 from .dist import (
     EmpiricalDistribution,
     SeededSampler,
+    _check_probs,
     _sum,
     abs_expectation,
     affine,
@@ -32,7 +33,13 @@ from .envelope import (
     extremal_density,
     mixture_density,
 )
-from .errors import BudgetTooSmall, DimensionMismatch, OutOfRange, PreconditionViolated
+from .errors import (
+    BudgetTooSmall,
+    DimensionMismatch,
+    NonFiniteValue,
+    OutOfRange,
+    PreconditionViolated,
+)
 from .measures import (
     _copy_count,
     cvar_choquet,
@@ -58,12 +65,9 @@ class PairedScenarios:
         probs = np.asarray(self.probs, dtype=float)
         if not (len(x) == len(y) == len(probs)) or len(x) == 0:
             raise DimensionMismatch("x, y, probs must be nonempty and equally long")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(probs))):
-            raise OutOfRange("scenario values and probabilities must be finite")
-        if np.any(probs <= 0.0):
-            raise OutOfRange("scenario probabilities must be > 0")
-        if abs(_sum(probs) - 1.0) > 1e-12:
-            raise OutOfRange("scenario probabilities must sum to 1 within 1e-12")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise NonFiniteValue("scenario values must be finite")
+        _check_probs(probs, what="scenario probabilities")
         for name, arr in (("x", x), ("y", y), ("probs", probs)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -389,12 +393,11 @@ def random_distribution(
     gen: np.random.Generator,
     max_atoms: int = 1000,
     min_atoms: int = 1,
-    value_range: tuple[float, float] = (-100.0, 100.0),
 ) -> EmpiricalDistribution:
-    """Random law: 1-1000 atoms, values in the range, weights bounded away
+    """Random law: 1-1000 atoms, values in [-100, 100), weights bounded away
     from zero so the total never degenerates."""
     m = int(gen.integers(min_atoms, max_atoms + 1))
-    values = gen.uniform(value_range[0], value_range[1], size=m)
+    values = gen.uniform(-100.0, 100.0, size=m)
     weights = gen.uniform(0.05, 1.0, size=m)
     return from_samples(np.column_stack([values, weights]))
 

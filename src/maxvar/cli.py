@@ -25,16 +25,15 @@ import numpy as np
 from . import axioms
 from ._serialize import format_number, format_rows, render_json
 from .axioms import CheckRecord, VerificationReport, run_suite
-from .dist import EmpiricalDistribution, SeededSampler, _sum, affine, from_samples
+from .dist import EmpiricalDistribution, SeededSampler, _check_probs, _sum, affine, from_samples
 from .envelope import extremal_density
 from .errors import (
     AllZeroWeights,
     EmptyInput,
     MissingHeader,
-    NegativeProb,
+    NonFiniteValue,
     OutOfRange,
     ParseError,
-    ProbSumMismatch,
     RiskError,
     UnknownColumn,
 )
@@ -79,6 +78,8 @@ ROUTES = {
 METHODS = tuple(ROUTES)
 
 PROB_COLUMN = "prob"
+# Decimal CSV probabilities this close to summing to 1 are renormalized.
+_CSV_PROB_SUM_TOL = 1e-9
 
 
 def sample_data_path() -> Path:
@@ -100,6 +101,8 @@ class ScenarioTable:
             raise ParseError("a table needs at least one scenario row")
         if rows.shape[1] != len(self.columns):
             raise ParseError("row width does not match the header")
+        if not np.isfinite(rows).all():
+            raise NonFiniteValue("scenario outcomes must be finite")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
@@ -107,10 +110,7 @@ class ScenarioTable:
             probs = np.asarray(self.probs, dtype=float).copy()
             if len(probs) != rows.shape[0]:
                 raise ParseError("probability column length does not match the rows")
-            if np.any(probs <= 0.0):
-                raise NegativeProb("scenario probabilities must be > 0")
-            if abs(_sum(probs) - 1.0) > 1e-12:
-                raise ProbSumMismatch("scenario probabilities must sum to 1")
+            _check_probs(probs, what="scenario probabilities")
             probs.setflags(write=False)
             object.__setattr__(self, "probs", probs)
 
@@ -166,9 +166,11 @@ class RiskQuery:
             raise OutOfRange("n is required exactly for maxvar/minvar queries")
         method = self.method
         if tail_measure:
+            RiskLevel(self.alpha)
             if method is not None:
                 raise OutOfRange("var/cvar queries take no method")
         else:
+            CopyCount(self.n)
             method = method or "choquet"
             if method not in METHODS:
                 raise OutOfRange(f"method must be one of {METHODS}, got {method!r}")
@@ -275,11 +277,7 @@ def load_csv(path) -> ScenarioTable:
         probs = parsed[:, j]
         parsed = np.delete(parsed, j, axis=1)
         header = header[:j] + header[j + 1 :]
-        if np.any(probs <= 0.0):
-            raise NegativeProb(f"{path}: probabilities must be > 0")
-        total = _sum(probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ProbSumMismatch(f"{path}: probabilities sum to {total!r}, not 1")
+        total = _check_probs(probs, _CSV_PROB_SUM_TOL, what=f"{path}: probabilities")
         probs = probs / total
         if not header:
             raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
@@ -339,17 +337,14 @@ def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
     if (alphas is None) == (ns is None):
         raise OutOfRange("provide exactly one of an alpha grid or an n range")
     law = portfolio_law(t, p)
+    grid = list(ns if alphas is None else alphas)
+    if not grid:
+        raise OutOfRange("the alpha grid or n range is empty")
     rows = []
     if alphas is not None:
-        grid = list(alphas)
-        if not grid:
-            raise OutOfRange("empty alpha grid")
         for a in grid:
             rows.append(f"{format_number(float(a))},{format_number(cvar_min(law, a).value)}")
     else:
-        grid = list(ns)
-        if not grid:
-            raise OutOfRange("empty n range")
         for n in grid:
             rows.append(f"{int(n)},{format_number(maxvar_choquet(law, int(n)))}")
     return _csv_lines("param,value", rows)
@@ -481,7 +476,7 @@ def _build_request(args):
         return None
     portfolio = _portfolio_from_args(args)
     if args.command == "envelope":
-        return portfolio, None
+        return portfolio, CopyCount(args.n).n
     if args.command == "curve":
         if (args.alpha is None) == (args.n is None):
             raise _UsageError("curve needs exactly one of --alpha or --n")
@@ -489,6 +484,8 @@ def _build_request(args):
             grid = [RiskLevel(a).alpha for a in _parse_grid(args.alpha, integral=False)]
         else:
             grid = [CopyCount(n).n for n in _parse_grid(args.n, integral=True)]
+        if not grid:
+            raise _UsageError("the --alpha or --n grid is empty")
         return portfolio, grid
     if args.command in ("var", "cvar"):
         query = RiskQuery(measure=args.command, alpha=args.alpha)
@@ -519,7 +516,7 @@ def _execute(args, request) -> tuple[str, int]:
     table = load_csv(args.input or sample_data_path())
     portfolio, payload = request
     if args.command == "envelope":
-        return emit_envelope(table, portfolio, args.n), 0
+        return emit_envelope(table, portfolio, payload), 0
     if args.command == "curve":
         if args.alpha is not None:
             return emit_curve(table, portfolio, alphas=payload), 0

@@ -85,6 +85,28 @@ def _sum(x) -> float:
     return total / (1 << 1075)
 
 
+def _check_probs(probs, tol: float = PROB_SUM_TOL, what: str = "probabilities") -> float:
+    """Check that every entry is finite and > 0 and that the correctly
+    rounded sum is within ``tol`` of 1; returns that sum."""
+    probs = np.asarray(probs, dtype=float)
+    if not np.isfinite(probs).all():
+        raise NonFiniteValue(f"{what} must be finite")
+    if np.any(probs <= 0.0):
+        raise NegativeProb(f"{what} must be > 0")
+    total = _sum(probs)
+    if abs(total - 1.0) > tol:
+        raise ProbSumMismatch(f"{what} sum to {total!r}, not 1")
+    return total
+
+
+def _unit_interval(x, what: str) -> float:
+    """``x`` as a float, checked to lie in [0, 1]."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise OutOfRange(f"{what} must be in [0, 1], got {x!r}")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """A finite law: sorted distinct atom values with positive probabilities.
@@ -104,15 +126,11 @@ class EmpiricalDistribution:
             raise DimensionMismatch("values and probs must be 1-d arrays of equal length")
         if len(values) == 0:
             raise EmptyInput("a distribution needs at least one atom")
-        if not np.all(np.isfinite(values)) or not np.all(np.isfinite(probs)):
-            raise NonFiniteValue("atom values and probabilities must be finite")
-        if np.any(probs <= 0.0):
-            raise NegativeProb("every atom probability must be > 0")
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteValue("atom values must be finite")
+        _check_probs(probs, what="atom probabilities")
         if np.any(np.diff(values) <= 0.0):
             raise OutOfRange("atom values must be strictly increasing")
-        total = _sum(probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ProbSumMismatch(f"probabilities sum to {total!r}, not 1")
         values = values.copy()
         probs = probs.copy()
         values.setflags(write=False)
@@ -247,9 +265,7 @@ def cdf(d: EmpiricalDistribution, t: float) -> CdfValue:
 def quantile(d: EmpiricalDistribution, u: float) -> float:
     """Left-continuous generalized inverse: smallest atom whose cumulative
     probability reaches ``u``; ``quantile(0)`` is the smallest atom."""
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise OutOfRange(f"quantile level must be in [0, 1], got {u!r}")
+    u = _unit_interval(u, "quantile level")
     idx = int(np.searchsorted(d.cumulative, u, side="left"))
     return float(d.values[idx])
 

@@ -16,12 +16,11 @@ Every weight integral uses the closed-form antiderivatives, no quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EmpiricalDistribution, _sum
+from .dist import EmpiricalDistribution, _check_probs, _sum
 from .errors import (
     DimensionMismatch,
     InfeasibleFamily,
@@ -30,6 +29,7 @@ from .errors import (
     OutOfRange,
 )
 from .measures import (
+    RiskLevel,
     _alpha_value,
     _copy_count,
     _var_index,
@@ -40,6 +40,7 @@ from .measures import (
 )
 
 _FEAS_TOL = 1e-12
+_CORE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,15 +227,14 @@ def core_check(
     d: EmpiricalDistribution,
     nc,
     e: EnvelopeDensity,
-    tol: float = 1e-9,
     collect_sets: bool = True,
 ) -> CoreCheckReport:
     """Membership test against the distortion capacity h(P(.)).
 
-    Verifies E(Q 1_A) <= h(P(A)) + tol on every upper-level set
+    Verifies E(Q 1_A) <= h(P(A)) + 1e-9 on every upper-level set
     A = {Q >= threshold} (thresholds at distinct q values; tied atoms enter
-    together) and E(Q) = 1 +- tol. Reports the largest signed violation and
-    the sets where equality holds within tol; pass ``collect_sets=False`` to
+    together) and E(Q) = 1 +- 1e-9. Reports the largest signed violation and
+    the sets where equality holds within 1e-9; pass ``collect_sets=False`` to
     skip materializing the tight sets on large distributions.
     """
     n = _copy_count(nc)
@@ -246,18 +246,18 @@ def core_check(
     violations, order, ends = _upper_set_violations(d, n, q)
     tight: list[tuple[float, ...]] = []
     if collect_sets:
-        for j in ends[np.abs(violations) <= tol]:
+        for j in ends[np.abs(violations) <= _CORE_TOL]:
             members = np.sort(d.values[order[: j + 1]])
             tight.append(tuple(members.tolist()))
     mean_gap = _sum(q * d.probs) - 1.0
     max_violation = float(np.max(violations))
-    passed = max_violation <= tol and abs(mean_gap) <= tol
+    passed = max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL
     return CoreCheckReport(
         max_violation=max_violation,
         mean_gap=mean_gap,
         max_equality_gap=float(np.max(np.abs(violations))),
         tight_sets=tuple(tight),
-        tolerance=tol,
+        tolerance=_CORE_TOL,
         passed=passed,
     )
 
@@ -293,17 +293,8 @@ class DiscreteMixtureSpec:
     levels: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        levels = tuple((float(lam), float(alpha)) for lam, alpha in self.levels)
-        if not levels:
-            raise OutOfRange("a mixture needs at least one level")
-        for lam, alpha in levels:
-            if not (math.isfinite(lam) and lam > 0.0):
-                raise OutOfRange(f"mixture weights must be > 0, got {lam!r}")
-            if not (math.isfinite(alpha) and 0.0 <= alpha < 1.0):
-                raise OutOfRange(f"mixture levels must be in [0, 1), got {alpha!r}")
-        total = _sum(lam for lam, _ in levels)
-        if abs(total - 1.0) > 1e-12:
-            raise OutOfRange(f"mixture weights sum to {total!r}, not 1")
+        levels = tuple((float(lam), RiskLevel(alpha).alpha) for lam, alpha in self.levels)
+        _check_probs([lam for lam, _ in levels], what="mixture weights")
         object.__setattr__(self, "levels", levels)
 
 

@@ -13,7 +13,11 @@ class EmptyInput(RiskError):
     """An operation received no data where at least one element is required."""
 
 
-class NonFiniteValue(RiskError):
+class OutOfRange(RiskError):
+    """A parameter fell outside its documented domain."""
+
+
+class NonFiniteValue(OutOfRange):
     """A value, weight, or threshold was NaN or infinite."""
 
 
@@ -21,12 +25,8 @@ class AllZeroWeights(RiskError):
     """Weights were provided but their total mass is zero."""
 
 
-class NegativeProb(RiskError):
+class NegativeProb(OutOfRange):
     """A probability or weight was negative (or not strictly positive where required)."""
-
-
-class OutOfRange(RiskError):
-    """A parameter fell outside its documented domain."""
 
 
 class BudgetTooSmall(RiskError):
@@ -66,5 +66,5 @@ class MissingHeader(RiskError):
     """The CSV file has no usable header row."""
 
 
-class ProbSumMismatch(RiskError):
+class ProbSumMismatch(OutOfRange):
     """Scenario probabilities do not sum to 1 within tolerance."""

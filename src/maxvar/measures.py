@@ -26,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EmpiricalDistribution, SeededSampler, _sum, affine, expectation, sample
+from .dist import (
+    EmpiricalDistribution,
+    SeededSampler,
+    _sum,
+    _unit_interval,
+    affine,
+    expectation,
+    sample,
+)
 from .errors import BudgetTooSmall, OutOfRange
 
 
@@ -51,11 +59,10 @@ class CopyCount:
     n: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise OutOfRange(f"copy count must be an integer >= 1, got {self.n!r}")
-        if self.n < 1:
-            raise OutOfRange(f"copy count must be >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise OutOfRange(f"copy count must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "n", int(n))
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,8 @@ class QuadratureRule:
 
     panels: int
     points_per_panel: int = 16
-    kind: str = "composite-gauss-legendre"
 
     def __post_init__(self) -> None:
-        if self.kind != "composite-gauss-legendre":
-            raise OutOfRange(f"unsupported quadrature kind {self.kind!r}")
         if self.panels < 1:
             raise OutOfRange("panels must be >= 1")
         if not 2 <= self.points_per_panel <= 64:
@@ -91,15 +95,19 @@ class QuadratureRule:
 
 
 def _alpha_value(a) -> float:
-    if isinstance(a, RiskLevel):
-        return a.alpha
-    return RiskLevel(a).alpha
+    return a.alpha if isinstance(a, RiskLevel) else RiskLevel(a).alpha
 
 
 def _copy_count(nc) -> int:
-    if isinstance(nc, CopyCount):
-        return nc.n
-    return CopyCount(nc).n
+    return nc.n if isinstance(nc, CopyCount) else CopyCount(nc).n
+
+
+def _mixture_copy_count(nc) -> int:
+    # the w_n mixture has a weight density only for n >= 2
+    n = _copy_count(nc)
+    if n < 2:
+        raise OutOfRange("the mixture weight needs n >= 2; n = 1 is a point mass at alpha = 0")
+    return n
 
 
 def _var_index(d: EmpiricalDistribution, alpha: float) -> int:
@@ -143,9 +151,7 @@ def _cvar_profile(d: EmpiricalDistribution, alphas: np.ndarray) -> np.ndarray:
 def g_alpha(a, x: float) -> float:
     """Tail distortion for CVaR: x/(1-alpha) below 1-alpha, clamped to 1 above."""
     alpha = _alpha_value(a)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"distortion argument must be in [0, 1], got {x!r}")
+    x = _unit_interval(x, "distortion argument")
     spread = 1.0 - alpha
     return x / spread if x < spread else 1.0
 
@@ -155,23 +161,15 @@ def weight(nc, alpha: float) -> float:
     0^0 = 1. Only defined for n >= 2; n = 1 has no density (the mixture
     degenerates to a point mass at alpha = 0, which the maxvar routes handle
     directly)."""
-    n = _copy_count(nc)
-    if n < 2:
-        raise OutOfRange("weight density needs n >= 2; n = 1 is a point mass at alpha = 0")
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise OutOfRange(f"alpha must be in [0, 1], got {alpha!r}")
+    n = _mixture_copy_count(nc)
+    alpha = _unit_interval(alpha, "alpha")
     return n * (n - 1) * (1.0 - alpha) * alpha ** (n - 2)
 
 
 def weight_cdf(nc, alpha: float) -> float:
     """Closed-form integral of w_n from 0 to alpha: n a^(n-1) - (n-1) a^n."""
-    n = _copy_count(nc)
-    if n < 2:
-        raise OutOfRange("weight density needs n >= 2")
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise OutOfRange(f"alpha must be in [0, 1], got {alpha!r}")
+    n = _mixture_copy_count(nc)
+    alpha = _unit_interval(alpha, "alpha")
     return n * alpha ** (n - 1) - (n - 1) * alpha**n
 
 
@@ -187,9 +185,7 @@ def _weight_over_tail_arr(n: int, a: np.ndarray) -> np.ndarray:
 def distortion_h(nc, x: float) -> float:
     """Distortion reproducing maxvar as a Choquet integral: h(x) = 1 - (1-x)^n."""
     n = _copy_count(nc)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"distortion argument must be in [0, 1], got {x!r}")
+    x = _unit_interval(x, "distortion argument")
     return 1.0 - (1.0 - x) ** n
 
 
@@ -201,12 +197,8 @@ def distortion_via_weights(nc, x: float) -> float:
     :func:`distortion_h` analytically; kept separate as the independent
     route for the identity check.
     """
-    n = _copy_count(nc)
-    if n < 2:
-        raise OutOfRange("mixture identity needs n >= 2")
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"distortion argument must be in [0, 1], got {x!r}")
+    n = _mixture_copy_count(nc)
+    x = _unit_interval(x, "distortion argument")
     ramp = x * n * (1.0 - x) ** (n - 1)  # integral of x w_n/(1-a) over [0, 1-x]
     clamped = 1.0 - weight_cdf(n, 1.0 - x)  # integral of w_n over [1-x, 1]
     return ramp + clamped

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 
 from maxvar import (
     AllZeroWeights,
+    DiscreteMixtureSpec,
+    EmpiricalDistribution,
     EmptyInput,
     MissingHeader,
     NegativeProb,
+    NonFiniteValue,
     OutOfRange,
+    PairedScenarios,
     ParseError,
     ProbSumMismatch,
     UnknownColumn,
@@ -200,6 +204,50 @@ class TestRoundTrip:
             p.write_text(emit_table(t), encoding="utf-8")
             again = load_csv(p)
         assert np.array_equal(again.rows, t.rows)
+
+
+class TestScenarioTable:
+    def test_non_finite_outcome_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            ScenarioTable(("a",), [[math.inf], [2.0]])
+
+
+def _csv_probs(tmp_path, probs):
+    rows = "".join(f"{i},{p!r}\n" for i, p in enumerate(probs))
+    return load_csv(write(tmp_path, "x,prob\n" + rows)).probs
+
+
+# Each entry point that takes a probability vector, called on a two-entry one.
+PROB_ENTRY_POINTS = {
+    "EmpiricalDistribution": lambda tmp, p: EmpiricalDistribution([1.0, 2.0], p),
+    "ScenarioTable": lambda tmp, p: ScenarioTable(("x",), [[1.0], [2.0]], p),
+    "PairedScenarios": lambda tmp, p: PairedScenarios([1.0, 2.0], [2.0, 1.0], p),
+    "DiscreteMixtureSpec": lambda tmp, p: DiscreteMixtureSpec(tuple((w, 0.5) for w in p)),
+    "load_csv": _csv_probs,
+}
+# (vector, error for arrays, error for CSV text). A CSV cell must parse as a
+# finite number, and a CSV's sum may miss 1 by up to 1e-9 (arrays: 1e-12).
+BAD_PROBS = {
+    "nan": ([math.nan, 1.0], NonFiniteValue, ParseError),
+    "zero": ([0.0, 1.0], NegativeProb, NegativeProb),
+    "negative": ([-0.1, 1.1], NegativeProb, NegativeProb),
+    "sum-1+2e-12": ([0.5, 0.5 + 2e-12], ProbSumMismatch, None),
+    "sum-1+5e-10": ([0.5, 0.5 + 5e-10], ProbSumMismatch, None),
+    "sum-1+2e-9": ([0.5, 0.5 + 2e-9], ProbSumMismatch, ProbSumMismatch),
+}
+
+
+class TestProbabilityVectors:
+    @pytest.mark.parametrize("entry", PROB_ENTRY_POINTS)
+    @pytest.mark.parametrize("case", BAD_PROBS)
+    def test_same_error_at_every_entry_point(self, tmp_path, entry, case):
+        probs, array_error, csv_error = BAD_PROBS[case]
+        error = csv_error if entry == "load_csv" else array_error
+        if error is None:  # loads, renormalized to sum to 1
+            assert abs(math.fsum(PROB_ENTRY_POINTS[entry](tmp_path, probs)) - 1.0) <= 1e-15
+        else:
+            with pytest.raises(error):
+                PROB_ENTRY_POINTS[entry](tmp_path, probs)
 
 
 class TestPortfolio:
@@ -422,6 +470,14 @@ class TestCliExitCodes:
         assert run_cli("curve", "--column", "loss", "--n", "0:3").returncode == 1
         assert run_cli("curve", "--column", "loss", "--alpha", "0.5,1").returncode == 1
         assert run_cli("curve", "--column", "loss", "--alpha", "-0.1").returncode == 1
+        assert run_cli("curve", "--column", "loss", "--n", "5:1").returncode == 1
+        assert run_cli("curve", "--column", "loss", "--alpha", ",").returncode == 1
+        # single values outside the domain of n or alpha
+        assert run_cli("maxvar", "--column", "loss", "--n", "0").returncode == 1
+        assert run_cli("minvar", "--column", "loss", "--n", "-1").returncode == 1
+        assert run_cli("envelope", "--column", "loss", "--n", "0").returncode == 1
+        assert run_cli("var", "--column", "loss", "--alpha", "1.5").returncode == 1
+        assert run_cli("cvar", "--column", "loss", "--alpha", "-0.1").returncode == 1
 
     def test_missing_input_exits_two(self, tmp_path):
         result = run_cli(
