@@ -356,13 +356,17 @@ def _check_envelope_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
     )
 
 
+_FAMILY_SEGMENTS = 4  # level segments of a random feasible family
+_PAIRED_MAX_SCENARIOS = 300  # most scenarios in a random pair
+
+
 def _random_feasible_family(
-    d: EmpiricalDistribution, gen: np.random.Generator, segments: int = 4
+    d: EmpiricalDistribution, gen: np.random.Generator
 ) -> CvarFeasibleFamily:
     """A random piecewise-constant feasible family: each segment density is a
     raw positive draw normalized to unit mean, then shrunk toward the
     always-feasible constant 1 until its segment-wide CVaR bound holds."""
-    cuts = np.sort(gen.uniform(0.05, 0.95, size=segments - 1))
+    cuts = np.sort(gen.uniform(0.05, 0.95, size=_FAMILY_SEGMENTS - 1))
     bounds = np.concatenate(([0.0], cuts, [1.0]))
     densities = []
     for lo in bounds[:-1]:
@@ -402,10 +406,8 @@ def random_distribution(
     return from_samples(np.column_stack([values, weights]))
 
 
-def random_paired(
-    gen: np.random.Generator, max_scenarios: int = 300
-) -> PairedScenarios:
-    k = int(gen.integers(1, max_scenarios + 1))
+def random_paired(gen: np.random.Generator) -> PairedScenarios:
+    k = int(gen.integers(1, _PAIRED_MAX_SCENARIOS + 1))
     x = gen.uniform(-100.0, 100.0, size=k)
     y = gen.uniform(-100.0, 100.0, size=k)
     return PairedScenarios.from_weights(x, y, gen.uniform(0.05, 1.0, size=k))

@@ -41,6 +41,7 @@ from .measures import (
     CopyCount,
     QuadratureRule,
     RiskLevel,
+    _trial_count,
     cvar_min,
     maxvar_choquet,
     maxvar_mc,
@@ -178,6 +179,8 @@ class RiskQuery:
         mc = method == "mc"
         if mc != (self.trials is not None) or mc != (self.seed is not None):
             raise OutOfRange("trials and seed are required exactly for method=mc")
+        if mc:
+            _trial_count(self.trials)
         if self.quadrature is not None and method != "mixture-quad":
             raise OutOfRange("a quadrature rule only applies to method=mixture-quad")
 
@@ -287,8 +290,9 @@ def load_csv(path) -> ScenarioTable:
 def portfolio_law(t: ScenarioTable, p: PortfolioSpec) -> EmpiricalDistribution:
     """Per scenario, value = sum of weight_c * outcome_c; then merge into a law."""
     combo = np.zeros(t.rows.shape[0])
-    for name, w in p.weights.items():
-        combo = combo + w * t.column(name)
+    with np.errstate(over="ignore", invalid="ignore"):  # from_samples rejects inf/nan
+        for name, w in p.weights.items():
+            combo = combo + w * t.column(name)
     return from_samples(np.column_stack([combo, t.scenario_probs]))
 
 
@@ -340,13 +344,10 @@ def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
     grid = list(ns if alphas is None else alphas)
     if not grid:
         raise OutOfRange("the alpha grid or n range is empty")
-    rows = []
     if alphas is not None:
-        for a in grid:
-            rows.append(f"{format_number(float(a))},{format_number(cvar_min(law, a).value)}")
+        rows = [f"{format_number(float(a))},{format_number(cvar_min(law, a).value)}" for a in grid]
     else:
-        for n in grid:
-            rows.append(f"{int(n)},{format_number(maxvar_choquet(law, int(n)))}")
+        rows = [f"{int(n)},{format_number(maxvar_choquet(law, int(n)))}" for n in grid]
     return _csv_lines("param,value", rows)
 
 
@@ -473,6 +474,7 @@ def _parse_grid(raw: str, integral: bool):
 def _build_request(args):
     """Everything that can fail as a usage error happens here."""
     if args.command == "verify":
+        CopyCount(args.n)
         return None
     portfolio = _portfolio_from_args(args)
     if args.command == "envelope":

@@ -32,6 +32,7 @@ from .measures import (
     RiskLevel,
     _alpha_value,
     _copy_count,
+    _layers,
     _var_index,
     _weight_cdf_arr,
     _weight_over_tail_arr,
@@ -175,8 +176,7 @@ def extremal_density(d: EmpiricalDistribution, nc) -> EnvelopeDensity:
     if n == 1:
         # the n = 1 envelope is the expectation dual: exactly the constant 1
         return EnvelopeDensity(np.ones(d.atom_count))
-    layers = np.diff(d.cumulative**n, prepend=0.0)
-    return EnvelopeDensity(layers / d.probs)
+    return EnvelopeDensity(_layers(d, n) / d.probs)
 
 
 def cvar_extremal_density(d: EmpiricalDistribution, a) -> EnvelopeDensity:

@@ -7,8 +7,8 @@ Conventions, fixed once for the whole package:
   inequality. On atoms this is the "upper" convention: uniform{1,2,3,4} at
   a = 0.5 gives 3, not 2.
 * CVaR_a(X) = min over b of b + E(X - b)_+ / (1 - a); the minimum is
-  attained at b = VaR_a(X), and for finite laws the objective is piecewise
-  linear so scanning atoms finds the exact minimum.
+  attained at b = VaR_a(X) (Rockafellar & Uryasev 2000), so every CVaR read
+  evaluates the objective at the VaR atom, found by :func:`_var_index`.
 * maxvar_n(X) = E(max of n i.i.d. copies). Its CDF is F^n, so on a finite
   law it evaluates exactly as sum_k v_k (F_k^n - F_{k-1}^n).
 * maxvar_n is also the w_n-weighted mixture of CVaR over levels, with
@@ -110,23 +110,30 @@ def _mixture_copy_count(nc) -> int:
     return n
 
 
-def _var_index(d: EmpiricalDistribution, alpha: float) -> int:
-    # smallest k with surv[k] < 1 - alpha; surv is descending, so search the
-    # ascending negation. alpha < 1 guarantees the last atom qualifies.
-    return int(np.searchsorted(-d.survival, -(1.0 - alpha), side="right"))
+def _trial_count(trials) -> int:
+    if int(trials) < 2:
+        raise BudgetTooSmall("need at least 2 trials for a standard error")
+    return int(trials)
+
+
+def _var_index(d: EmpiricalDistribution, alpha):
+    # the smallest k with surv[k] < 1 - alpha, for a level or an array of them
+    # (surv descends, so search its negation); a level of 1.0 reads the top atom
+    k = np.searchsorted(-d.survival, -(1.0 - alpha), side="right")
+    return np.minimum(k, d.atom_count - 1)
 
 
 def var(d: EmpiricalDistribution, a) -> float:
     """Value-at-Risk with the strict tail inequality (see module notes)."""
-    alpha = _alpha_value(a)
-    return float(d.values[_var_index(d, alpha)])
+    return float(d.values[_var_index(d, _alpha_value(a))])
 
 
 def cvar_min(d: EmpiricalDistribution, a) -> CvarResult:
-    """CVaR by exact minimization of b + E(X - b)_+ / (1 - alpha) over atoms."""
+    """CVaR as min over b of b + E(X - b)_+ / (1 - alpha), read in O(log m)
+    at its minimizer b = VaR_alpha."""
     alpha = _alpha_value(a)
-    objective = d.values + d.upper_tails / (1.0 - alpha)
-    return CvarResult(value=float(np.min(objective)), beta_star=var(d, alpha))
+    k = _var_index(d, alpha)
+    return CvarResult(float(d.values[k] + d.upper_tails[k] / (1.0 - alpha)), float(d.values[k]))
 
 
 def cvar_choquet(d: EmpiricalDistribution, a) -> float:
@@ -138,14 +145,6 @@ def cvar_choquet(d: EmpiricalDistribution, a) -> float:
     gaps = np.diff(d.values)
     g = np.minimum(d.survival[:-1] / (1.0 - alpha), 1.0)
     return float(d.values[0] + _sum(gaps * g))
-
-
-def _cvar_profile(d: EmpiricalDistribution, alphas: np.ndarray) -> np.ndarray:
-    """CVaR at many levels at once; algebraically identical to
-    :func:`cvar_choquet` (grouped as beta* + tail/(1-alpha))."""
-    alphas = np.asarray(alphas, dtype=float)
-    idx = np.searchsorted(d.cumulative, alphas, side="right")
-    return d.values[idx] + d.upper_tails[idx] / (1.0 - alphas)
 
 
 def g_alpha(a, x: float) -> float:
@@ -204,12 +203,14 @@ def distortion_via_weights(nc, x: float) -> float:
     return ramp + clamped
 
 
+def _layers(d: EmpiricalDistribution, n: int) -> np.ndarray:
+    """F_k^n - F_{k-1}^n per atom: the law of the max of n copies."""
+    return np.diff(d.cumulative**n, prepend=0.0)
+
+
 def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
     """Exact maxvar via the power CDF: sum_k v_k (F_k^n - F_{k-1}^n)."""
-    n = _copy_count(nc)
-    powered = d.cumulative**n
-    layers = np.diff(powered, prepend=0.0)
-    return float(_sum(d.values * layers))
+    return float(_sum(d.values * _layers(d, _copy_count(nc))))
 
 
 def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
@@ -221,11 +222,9 @@ def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
     levels, whose layer is exactly zero, so the two sums are identical term
     by term: the ``route-spectral`` check is not an independent cross-check.
     """
-    n = _copy_count(nc)
     cum = d.cumulative
-    layers = np.diff(cum**n, prepend=0.0)
     atoms = d.values[np.searchsorted(cum, cum, side="left")]
-    return float(_sum(atoms * layers))
+    return float(_sum(atoms * _layers(d, _copy_count(nc))))
 
 
 def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
@@ -265,7 +264,8 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
 
     Panel boundaries always include every cumulative-probability breakpoint
     of ``d``, so each panel's integrand is smooth (a low-degree polynomial);
-    16 points per panel are exact far beyond the n <= 32 range.
+    16 points per panel are exact far beyond the n <= 32 range. All nodes go
+    in one pass, as n(n-1)a^(n-2) ((1-a) VaR_a + E(X - VaR_a)_+): no 1/(1-a).
     """
     n = _copy_count(nc)
     if not isinstance(q, QuadratureRule):
@@ -280,18 +280,15 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
         )
     bounds = np.concatenate(([0.0], breaks, [1.0]))
     while len(bounds) - 1 < q.panels:
-        widths = np.diff(bounds)
-        widest = int(np.argmax(widths))  # leftmost widest: deterministic
-        mid = 0.5 * (bounds[widest] + bounds[widest + 1])
-        bounds = np.insert(bounds, widest + 1, mid)
+        widest = int(np.argmax(np.diff(bounds)))  # leftmost widest: deterministic
+        bounds = np.insert(bounds, widest + 1, 0.5 * (bounds[widest] + bounds[widest + 1]))
     nodes, gl_weights = np.polynomial.legendre.leggauss(q.points_per_panel)
-    panel_sums = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        half = 0.5 * (b - a)
-        x = 0.5 * (a + b) + half * nodes
-        integrand = _cvar_profile(d, x) * (n * (n - 1) * (1.0 - x) * x ** (n - 2))
-        panel_sums.append(half * _sum(gl_weights * integrand))
-    return _sum(panel_sums)
+    lo, hi = bounds[:-1, None], bounds[1:, None]
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
+    k = _var_index(d, x)
+    integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
+    return _sum([h * _sum(row) for h, row in zip(half[:, 0], gl_weights * integrand)])
 
 
 def maxvar_mc(
@@ -305,9 +302,7 @@ def maxvar_mc(
     ``std_error`` is 0.0: a standard error of 0 means the estimate is exact.
     """
     n = _copy_count(nc)
-    trials = int(trials)
-    if trials < 2:
-        raise BudgetTooSmall("need at least 2 trials for a standard error")
+    trials = _trial_count(trials)
     draws = sample(d, s, trials * n).reshape(trials, n)
     maxima = draws.max(axis=1)
     if maxima.min() == maxima.max():

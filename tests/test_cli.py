@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -478,6 +479,10 @@ class TestCliExitCodes:
         assert run_cli("envelope", "--column", "loss", "--n", "0").returncode == 1
         assert run_cli("var", "--column", "loss", "--alpha", "1.5").returncode == 1
         assert run_cli("cvar", "--column", "loss", "--alpha", "-0.1").returncode == 1
+        # a Monte Carlo trial count too small for a standard error
+        mc = ["maxvar", "--column", "loss", "--n", "2", "--method", "mc", "--seed", "1"]
+        assert run_cli(*mc, "--trials", "1").returncode == 1
+        assert run_cli("verify", "--n", "0").returncode == 1  # before the suite runs
 
     def test_missing_input_exits_two(self, tmp_path):
         result = run_cli(
@@ -509,6 +514,23 @@ class TestCliExitCodes:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_overflowing_weights_exit_two_with_one_line(self, tmp_path):
+        big = write(tmp_path, "a,b\n1e10,1\n2e10,3\n")
+        result = run_cli("maxvar", "--input", str(big), "--weights", "a=1e300,b=1", "--n", "2")
+        assert result.returncode == 2
+        assert result.stderr == "error: values and weights must be finite\n"
+
+    def test_mixture_quad_on_dust_law(self, tmp_path):
+        dust = write(tmp_path, "loss,prob\n0,0.9999999999999999\n1000000,1e-16\n")
+        result = run_cli(
+            "maxvar", "--input", str(dust), "--column", "loss", "--n", "2",
+            "--method", "mixture-quad",
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)  # exactly one JSON document
+        assert doc["params"]["method"] == "mixture-quad"
 
     def test_unknown_column_exits_two(self):
         result = run_cli("maxvar", "--column", "nope", "--n", "2")

@@ -136,9 +136,16 @@ class TestCvar:
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(5)
+        cases = []
         for _ in range(25):
             d = random_small_dist(rng)
-            for alpha in (0.0, 0.3, 0.5, 0.9, 0.99):
+            # levels on the cumulative breakpoints tie two atoms as minimizers
+            cases.append((d, (0.0, 0.3, 0.5, 0.9, 0.99, *d.cumulative[:-1])))
+        for m in (2, 3, 4, 5, 7, 10):
+            d = from_samples([(v, 1) for v in rng.uniform(-100.0, 100.0, size=m)])
+            cases.append((d, [j / m for j in range(m)]))
+        for d, levels in cases:
+            for alpha in levels:
                 assert cvar_min(d, alpha).value == pytest.approx(
                     brute_force_cvar(d, alpha), abs=1e-9
                 )
@@ -270,6 +277,12 @@ class TestMixtureQuad:
 
     def test_n1_is_expectation(self):
         assert maxvar_mixture_quad(d4(), 1, QuadratureRule(panels=4)) == 2.5
+
+    def test_dust_law_nodes_that_round_to_one(self):
+        # the last panel's Gauss nodes round to 1.0; E(max of 2) = 1e6 (2p - p^2)
+        d = from_samples([(0.0, 0.9999999999999999), (1e6, 1e-16)])
+        value = maxvar_mixture_quad(d, 2, suggest_rule(d))
+        assert abs(value - 2e-10) <= 1e-12 * 2e-10
 
 
 class TestMonteCarlo:
