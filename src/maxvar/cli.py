@@ -41,6 +41,8 @@ from .measures import (
     CopyCount,
     QuadratureRule,
     RiskLevel,
+    _alpha_value,
+    _cvar_at,
     _trial_count,
     cvar_min,
     maxvar_choquet,
@@ -345,7 +347,9 @@ def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
     if not grid:
         raise OutOfRange("the alpha grid or n range is empty")
     if alphas is not None:
-        rows = [f"{format_number(float(a))},{format_number(cvar_min(law, a).value)}" for a in grid]
+        levels = np.array([_alpha_value(a) for a in grid])
+        cvars = _cvar_at(law, levels)[0].tolist()
+        rows = [f"{format_number(a)},{format_number(c)}" for a, c in zip(levels.tolist(), cvars)]
     else:
         rows = [f"{int(n)},{format_number(maxvar_choquet(law, int(n)))}" for n in grid]
     return _csv_lines("param,value", rows)

@@ -11,11 +11,14 @@ import numpy as np
 from maxvar import (
     EmptyInput,
     EmpiricalDistribution,
+    McEstimate,
     MissingHeader,
     NegativeProb,
     ParseError,
     ProbSumMismatch,
+    SeededSampler,
     from_samples,
+    sample,
 )
 from maxvar.cli import PROB_COLUMN, ScenarioTable
 
@@ -60,6 +63,23 @@ def brute_force_cvar(d: EmpiricalDistribution, alpha: float) -> float:
         tail = math.fsum(np.maximum(d.values - beta, 0.0) * d.probs)
         best = min(best, beta + tail / (1.0 - alpha))
     return best
+
+
+def mc_draw_then_max(
+    d: EmpiricalDistribution, n: int, trials: int, sampler: SeededSampler
+) -> McEstimate:
+    """Reference Monte Carlo maxvar that ``maxvar.maxvar_mc`` must match bit
+    for bit: draw all trials x n values through the inverse CDF, take each
+    row's max, then average and take the standard error in trial order. The
+    sum uses ``math.fsum``, which the library's exact sum matches bit for bit.
+    """
+    maxima = sample(d, sampler, trials * n).reshape(trials, n).max(axis=1)
+    if maxima.min() == maxima.max():
+        estimate, std_error = float(maxima[0]), 0.0
+    else:
+        estimate = math.fsum(maxima.tolist()) / trials
+        std_error = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
+    return McEstimate(estimate=estimate, std_error=std_error, trials=trials, seed=sampler.seed)
 
 
 def random_small_dist(rng: np.random.Generator, max_atoms: int = 6) -> EmpiricalDistribution:

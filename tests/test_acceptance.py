@@ -255,6 +255,13 @@ def test_criterion_8_cli_contract():
         ("var.json", ["var", "--input", sample, "--column", "loss", "--alpha", "0.5"]),
         ("cvar.json", ["cvar", "--input", sample, "--column", "loss", "--alpha", "0.5"]),
         ("maxvar.json", ["maxvar", "--input", sample, "--column", "loss", "--n", "2"]),
+        (
+            "maxvar_mc.json",
+            [
+                "maxvar", "--input", sample, "--column", "loss", "--n", "2",
+                "--method", "mc", "--trials", "1000", "--seed", "7",
+            ],
+        ),
         ("minvar.json", ["minvar", "--input", sample, "--column", "loss", "--n", "2"]),
         ("envelope.csv", ["envelope", "--input", sample, "--column", "loss", "--n", "2"]),
         ("curve_maxvar.csv", ["curve", "--input", sample, "--column", "loss", "--n", "1:3"]),

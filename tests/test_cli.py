@@ -532,6 +532,15 @@ class TestCliExitCodes:
         doc = json.loads(result.stdout)  # exactly one JSON document
         assert doc["params"]["method"] == "mixture-quad"
 
+    def test_unallocatable_mc_draw_exits_two_with_one_line(self):
+        # numpy refuses both sizes before allocating anything
+        mc = ["maxvar", "--column", "loss", "--method", "mc", "--seed", "1"]
+        for trials, n in (("1000000000000000", "7"), ("2", "100000000000000000000")):
+            result = run_cli(*mc, "--trials", trials, "--n", n)
+            assert result.returncode == 2
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert f"trials x n = {trials} x {n}" in result.stderr
+
     def test_unknown_column_exits_two(self):
         result = run_cli("maxvar", "--column", "nope", "--n", "2")
         assert result.returncode == 2

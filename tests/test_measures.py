@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxvar import (
@@ -38,6 +38,7 @@ from helpers import (
     brute_force_maxvar,
     brute_force_minvar,
     d4,
+    mc_draw_then_max,
     random_small_dist,
 )
 
@@ -56,8 +57,18 @@ def laws(draw, max_atoms=12):
     return from_samples(list(zip(values, weights)))
 
 
+@st.composite
+def dust_laws(draw, max_atoms=12):
+    # masses spread over 300 decades, values up to 1e8 in magnitude
+    m = draw(st.integers(1, max_atoms))
+    values = draw(st.lists(st.floats(-1e8, 1e8), min_size=m, max_size=m))
+    exponents = draw(st.lists(st.floats(-300.0, 0.0), min_size=m, max_size=m))
+    return from_samples([(v, 10.0**e) for v, e in zip(values, exponents)])
+
+
 alphas = st.floats(0.0, 0.999, allow_nan=False)
 copies = st.integers(1, 6)
+one_atom_laws = st.floats(-1e8, 1e8).map(lambda v: from_samples([(v, 1.0)]))
 
 
 class TestDomainTypes:
@@ -306,6 +317,21 @@ class TestMonteCarlo:
         a = maxvar_mc(d4(), 2, 1000, SeededSampler(5, 1))
         b = maxvar_mc(d4(), 2, 1000, SeededSampler(5, 1))
         assert a.estimate == b.estimate
+        assert a.std_error == b.std_error
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(dust_laws(), one_atom_laws, laws()),
+        st.integers(1, 64),
+        st.integers(2, 5000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_draw_then_max(self, d, n, trials, seed):
+        # the max of n inverse-CDF draws is the draw at the max of n uniforms
+        got = maxvar_mc(d, n, trials, SeededSampler(seed, 1))
+        want = mc_draw_then_max(d, n, trials, SeededSampler(seed, 1))
+        assert got.estimate == want.estimate
+        assert got.std_error == want.std_error
 
     def test_budget(self):
         with pytest.raises(BudgetTooSmall):
