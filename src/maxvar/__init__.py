@@ -37,7 +37,6 @@ from .envelope import (
     CvarFeasibleFamily,
     DiscreteMixtureSpec,
     EnvelopeDensity,
-    FamilySegment,
     core_check,
     cvar_extremal_density,
     discrete_envelope_check,

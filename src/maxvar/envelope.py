@@ -9,7 +9,8 @@ convex along the greedy (descending-q) filling order, so it is maximized on
 those sets; checking them is therefore sufficient, not just necessary.
 
 The per-level extremal CVaR density is affine in 1/(1-a) on each segment
-between cumulative-probability breakpoints, so family members are stored as
+between cumulative-probability breakpoints, so a family is stored as arrays:
+segment bounds plus one row of flat and one of tail per segment, with
 Q_a = flat + tail/(1-a); piecewise-constant families are the tail = 0 case.
 Every weight integral uses the closed-form antiderivatives, no quadrature.
 """
@@ -72,22 +73,20 @@ class EnvelopeDensity:
         return len(self.q)
 
 
-@dataclass(frozen=True)
-class FamilySegment:
-    """One level segment [lo, hi) carrying Q_a = flat + tail/(1-a)."""
+@dataclass(frozen=True, eq=False)
+class CvarFeasibleFamily:
+    """A family of per-level densities, piecewise affine in 1/(1-a) over the
+    partition 0 = bounds[0] < ... < bounds[M] = 1 of [0, 1): for a in
+    [bounds[i], bounds[i+1]) the member is Q_a = flat[i] + tail[i]/(1-a).
 
-    lo: float
-    hi: float
+    ``bounds`` is a float array of length M+1; ``flat`` and ``tail`` are
+    M x m float arrays, one row per segment and one column per atom.
+    Feasibility is checked against a distribution by :func:`mixture_density`.
+    """
+
+    bounds: np.ndarray
     flat: np.ndarray
     tail: np.ndarray
-
-
-class CvarFeasibleFamily:
-    """A family of per-level densities, piecewise affine in 1/(1-a) over a
-    breakpoint partition of [0, 1)."""
-
-    def __init__(self, segments: tuple[FamilySegment, ...]):
-        self.segments = tuple(segments)
 
     @classmethod
     def from_constant_densities(cls, breakpoints, densities) -> "CvarFeasibleFamily":
@@ -97,77 +96,72 @@ class CvarFeasibleFamily:
         bounds = np.asarray(breakpoints, dtype=float)
         if len(bounds) < 2 or len(densities) != len(bounds) - 1:
             raise InfeasibleFamily("need M+1 breakpoints for M segment densities")
-        segments = []
-        for i, dens in enumerate(densities):
-            flat = np.asarray(dens.q if isinstance(dens, EnvelopeDensity) else dens, float)
-            segments.append(
-                FamilySegment(
-                    lo=float(bounds[i]),
-                    hi=float(bounds[i + 1]),
-                    flat=flat,
-                    tail=np.zeros_like(flat),
-                )
-            )
-        return cls(tuple(segments))
+        rows = [
+            np.asarray(dens.q if isinstance(dens, EnvelopeDensity) else dens, float)
+            for dens in densities
+        ]
+        if len({row.shape for row in rows}) != 1:
+            raise DimensionMismatch("segment densities must all have the same length")
+        flat = np.stack(rows)
+        return cls(bounds, flat, np.zeros_like(flat))
 
     @classmethod
     def cvar_extremal(cls, d: EmpiricalDistribution) -> "CvarFeasibleFamily":
         """The family whose level-a member is the extremal CVaR density of
         ``d``: mass 1/(1-a) on the strict tail of beta*, remainder on the
         beta* atom. Breakpoints sit at the cumulative probabilities of ``d``,
-        where beta* changes."""
+        where beta* changes; a zero-width stratum from a clipped tie has no
+        segment. Segment i with beta* at atom k has flat = 1/p_k at k and
+        tail = -S_k/p_k at k, 1 above k."""
         cum = d.cumulative
-        bounds = np.concatenate(([0.0], cum))
-        segments = []
-        m = d.atom_count
-        for k in range(m):
-            lo, hi = float(bounds[k]), float(bounds[k + 1])
-            if hi <= lo:
-                continue  # zero-width stratum from a clipped tie
-            flat = np.zeros(m)
-            tail = np.zeros(m)
-            flat[k] = 1.0 / d.probs[k]
-            tail[k] = -d.survival[k] / d.probs[k]
-            tail[k + 1 :] = 1.0
-            segments.append(FamilySegment(lo=lo, hi=hi, flat=flat, tail=tail))
-        return cls(tuple(segments))
+        k = np.flatnonzero(cum > np.concatenate(([0.0], cum[:-1])))
+        rows = np.arange(len(k))
+        flat = np.zeros((len(k), d.atom_count))
+        flat[rows, k] = 1.0 / d.probs[k]
+        tail = (np.arange(d.atom_count) > k[:, None]).astype(float)
+        tail[rows, k] = -d.survival[k] / d.probs[k]
+        return cls(np.concatenate(([0.0], cum[k])), flat, tail)
 
 
 def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
-    if not fam.segments:
-        raise InfeasibleFamily("family has no segments")
-    m = d.atom_count
-    expect_lo = 0.0
-    for seg in fam.segments:
-        if len(seg.flat) != m or len(seg.tail) != m:
-            raise DimensionMismatch(
-                f"segment density has {len(seg.flat)} entries, distribution has {m} atoms"
-            )
-        if seg.lo != expect_lo:
-            raise InfeasibleFamily(f"segments must partition [0, 1); gap at {expect_lo!r}")
-        if not seg.hi > seg.lo:
-            raise InfeasibleFamily("segment bounds must be increasing")
+    # raises for the first failing segment, naming its first failing condition
+    # of: increasing bounds, 0 <= Q_a <= 1/(1-a) at each end, the two means
+    if fam.flat.shape[1] != d.atom_count:
+        raise DimensionMismatch(
+            f"segment density has {fam.flat.shape[1]} entries, "
+            f"distribution has {d.atom_count} atoms"
+        )
+    if fam.bounds[0] != 0.0:
+        raise InfeasibleFamily(
+            f"segments must partition [0, 1); first starts at {float(fam.bounds[0])!r}"
+        )
+    lo, hi = fam.bounds[:-1], fam.bounds[1:]
+    fails = [~(hi > lo)]
+    for a in (lo, hi):
         # Q_a(1-a) = flat(1-a) + tail is linear in a, so the pointwise bounds
-        # 0 <= Q_a <= 1/(1-a) over the whole segment reduce to its endpoints.
-        for a in (seg.lo, seg.hi):
-            scaled = seg.flat * (1.0 - a) + seg.tail
-            if np.any(scaled < -_FEAS_TOL):
-                raise InfeasibleFamily(
-                    f"segment [{seg.lo}, {seg.hi}) density goes negative at level {a}"
-                )
-            if np.any(scaled > 1.0 + _FEAS_TOL):
-                raise InfeasibleFamily(
-                    f"segment [{seg.lo}, {seg.hi}) exceeds the CVaR bound at level {a}"
-                )
-        if abs(_sum(seg.flat * d.probs) - 1.0) > _FEAS_TOL:
-            raise InfeasibleFamily(f"segment [{seg.lo}, {seg.hi}) mean is not 1")
-        if abs(_sum(seg.tail * d.probs)) > _FEAS_TOL:
-            raise InfeasibleFamily(
-                f"segment [{seg.lo}, {seg.hi}) tail component has nonzero mean"
-            )
-        expect_lo = seg.hi
-    if expect_lo != 1.0:
-        raise InfeasibleFamily(f"segments must end at 1, last ends at {expect_lo!r}")
+        # 0 <= Q_a <= 1/(1-a) over a whole segment reduce to its endpoints.
+        scaled = fam.flat * (1.0 - a)[:, None] + fam.tail
+        fails += [(scaled < -_FEAS_TOL).any(axis=1), (scaled > 1.0 + _FEAS_TOL).any(axis=1)]
+    fails = np.column_stack(fails)
+    bad = np.flatnonzero(fails.any(axis=1))
+    first = int(bad[0]) if bad.size else len(lo)
+    # the means are exact sums, taken row by row up to the first failing row
+    for i in range(first):
+        where = f"segment [{float(lo[i])}, {float(hi[i])})"
+        if abs(_sum(fam.flat[i] * d.probs) - 1.0) > _FEAS_TOL:
+            raise InfeasibleFamily(f"{where} mean is not 1")
+        if abs(_sum(fam.tail[i] * d.probs)) > _FEAS_TOL:
+            raise InfeasibleFamily(f"{where} tail component has nonzero mean")
+    if bad.size:
+        a, b = float(lo[first]), float(hi[first])
+        reasons = ["bounds must be increasing"] + [
+            f"{what} at level {level}"
+            for level in (a, b)
+            for what in ("density goes negative", "exceeds the CVaR bound")
+        ]
+        raise InfeasibleFamily(f"segment [{a}, {b}) {reasons[int(np.argmax(fails[first]))]}")
+    if fam.bounds[-1] != 1.0:
+        raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")
 
 
 def extremal_density(d: EmpiricalDistribution, nc) -> EnvelopeDensity:
@@ -273,16 +267,14 @@ def mixture_density(
     """
     n = _copy_count(nc)
     _validate_family(d, fam)
-    first = fam.segments[0]
     if n == 1:
-        return EnvelopeDensity(first.flat + first.tail)
-    q = np.zeros(d.atom_count)
-    for seg in fam.segments:
-        bounds = np.array([seg.lo, seg.hi])
-        d_w = float(np.diff(_weight_cdf_arr(n, bounds))[0])
-        d_v = float(np.diff(_weight_over_tail_arr(n, bounds))[0])
-        q += seg.flat * d_w + seg.tail * d_v
-    return EnvelopeDensity(q)
+        return EnvelopeDensity(fam.flat[0] + fam.tail[0])
+    d_w = np.diff(_weight_cdf_arr(n, fam.bounds))[:, None]
+    d_v = np.diff(_weight_over_tail_arr(n, fam.bounds))[:, None]
+    terms = fam.flat * d_w
+    terms += fam.tail * d_v
+    # the rows are added one at a time from zero, in partition order
+    return EnvelopeDensity(np.add.reduce(terms, axis=0, initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -172,12 +172,11 @@ def weight(nc, alpha: float) -> float:
 
 def weight_cdf(nc, alpha: float) -> float:
     """Closed-form integral of w_n from 0 to alpha: n a^(n-1) - (n-1) a^n."""
-    n = _mixture_copy_count(nc)
-    alpha = _unit_interval(alpha, "alpha")
-    return n * alpha ** (n - 1) - (n - 1) * alpha**n
+    return _weight_cdf_arr(_mixture_copy_count(nc), _unit_interval(alpha, "alpha"))
 
 
-def _weight_cdf_arr(n: int, a: np.ndarray) -> np.ndarray:
+def _weight_cdf_arr(n: int, a):
+    # for a level or an array of them
     return n * a ** (n - 1) - (n - 1) * a**n
 
 
@@ -214,7 +213,11 @@ def _layers(d: EmpiricalDistribution, n: int) -> np.ndarray:
 
 
 def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
-    """Exact maxvar via the power CDF: sum_k v_k (F_k^n - F_{k-1}^n)."""
+    """Maxvar via the power CDF, sum_k v_k (F_k^n - F_{k-1}^n): the correctly
+    rounded sum of the rounded products v_k (F_k^n - F_{k-1}^n). The products
+    round, so exact monotonicity in n can fail by an ulp: on {0.01,
+    0.010000000000000002} with equal mass, n = 2 gives 0.010000000000000002
+    and n = 3 gives 0.01."""
     return float(_sum(d.values * _layers(d, _copy_count(nc))))
 
 

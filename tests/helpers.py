@@ -4,13 +4,17 @@ import codecs
 import csv
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from maxvar import (
+    DimensionMismatch,
     EmptyInput,
     EmpiricalDistribution,
+    EnvelopeDensity,
+    InfeasibleFamily,
     McEstimate,
     MissingHeader,
     NegativeProb,
@@ -21,6 +25,7 @@ from maxvar import (
     sample,
 )
 from maxvar.cli import PROB_COLUMN, ScenarioTable
+from maxvar.measures import _weight_cdf_arr, _weight_over_tail_arr
 
 
 def d4() -> EmpiricalDistribution:
@@ -40,6 +45,22 @@ def brute_force_maxvar(d: EmpiricalDistribution, n: int) -> float:
         prob = math.prod(p for _, p in combo)
         terms.append(max(v for v, _ in combo) * prob)
     return math.fsum(terms)
+
+
+def exact_maxvar(d: EmpiricalDistribution, n: int) -> Fraction:
+    """Exact sum_k v_k (F_k^n - F_{k-1}^n) in rational arithmetic, on the law
+    as stored: every value and mass is read as the exact rational its float
+    holds, and F_k is the exact prefix sum of the masses over their exact
+    total, so F ends at exactly 1."""
+    masses = [Fraction(p) for p in d.probs.tolist()]
+    total = sum(masses)
+    prefix = Fraction(0)
+    value = Fraction(0)
+    for v, p in zip(d.values.tolist(), masses):
+        below = (prefix / total) ** n
+        prefix += p
+        value += Fraction(v) * ((prefix / total) ** n - below)
+    return value
 
 
 def brute_force_minvar(d: EmpiricalDistribution, n: int) -> float:
@@ -154,3 +175,64 @@ def load_csv_per_cell(path) -> ScenarioTable:
         if not header:
             raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
     return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)
+
+
+def cvar_extremal_segments(d: EmpiricalDistribution) -> list:
+    """Reference for ``CvarFeasibleFamily.cvar_extremal``: one
+    (lo, hi, flat, tail) tuple per stratum of positive width, built atom by
+    atom."""
+    cum = d.cumulative
+    bounds = np.concatenate(([0.0], cum))
+    segments = []
+    m = d.atom_count
+    for k in range(m):
+        lo, hi = float(bounds[k]), float(bounds[k + 1])
+        if hi <= lo:
+            continue  # zero-width stratum from a clipped tie
+        flat = np.zeros(m)
+        tail = np.zeros(m)
+        flat[k] = 1.0 / d.probs[k]
+        tail[k] = -d.survival[k] / d.probs[k]
+        tail[k + 1 :] = 1.0
+        segments.append((lo, hi, flat, tail))
+    return segments
+
+
+def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> EnvelopeDensity:
+    """Reference that ``maxvar.mixture_density`` must match bit for bit, and
+    in the type of error it raises: each (lo, hi, flat, tail) segment is
+    validated in turn, then integrated against w_n and added to a running
+    total in partition order."""
+    if not segments:
+        raise InfeasibleFamily("family has no segments")
+    m = d.atom_count
+    tol = 1e-12
+    expect_lo = 0.0
+    for lo, hi, flat, tail in segments:
+        if len(flat) != m or len(tail) != m:
+            raise DimensionMismatch(f"segment density has {len(flat)} entries, not {m}")
+        if lo != expect_lo:
+            raise InfeasibleFamily(f"segments must partition [0, 1); gap at {expect_lo!r}")
+        if not hi > lo:
+            raise InfeasibleFamily("segment bounds must be increasing")
+        for a in (lo, hi):
+            scaled = flat * (1.0 - a) + tail
+            if np.any(scaled < -tol) or np.any(scaled > 1.0 + tol):
+                raise InfeasibleFamily(f"segment [{lo}, {hi}) breaks its bound at {a}")
+        if abs(math.fsum(flat * d.probs) - 1.0) > tol:
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) mean is not 1")
+        if abs(math.fsum(tail * d.probs)) > tol:
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) tail has nonzero mean")
+        expect_lo = hi
+    if expect_lo != 1.0:
+        raise InfeasibleFamily(f"segments must end at 1, last ends at {expect_lo!r}")
+    _, _, flat, tail = segments[0]
+    if n == 1:
+        return EnvelopeDensity(flat + tail)
+    q = np.zeros(m)
+    for lo, hi, flat, tail in segments:
+        bounds = np.array([lo, hi])
+        d_w = float(np.diff(_weight_cdf_arr(n, bounds))[0])
+        d_v = float(np.diff(_weight_over_tail_arr(n, bounds))[0])
+        q += flat * d_w + tail * d_v
+    return EnvelopeDensity(q)

@@ -17,6 +17,8 @@ from maxvar import (
     from_samples,
     run_suite,
 )
+from maxvar import measures
+from maxvar.axioms import _check_beta_star
 
 from helpers import bernoulli_half, d4
 
@@ -214,3 +216,18 @@ class TestSuite:
         report = run_suite(seed=3, trials=5)
         for c in report.checks:
             assert c.passed == (c.violation <= c.tolerance)
+
+
+class TestBetaStarCheck:
+    def test_catches_a_wrong_var_atom(self, monkeypatch):
+        # a VaR search that reads one atom too high must fail the check,
+        # which reads VaR from its definition without that search
+        search = measures._var_index
+        monkeypatch.setattr(
+            measures,
+            "_var_index",
+            lambda d, alpha: np.minimum(search(d, alpha) + 1, d.atom_count - 1),
+        )
+        record = _check_beta_star(d4(), 0.5)
+        assert not record.passed
+        assert record.violation == 1.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxvar import (
     CvarFeasibleFamily,
@@ -12,6 +14,7 @@ from maxvar import (
     InfeasiblePart,
     NotInEnvelope,
     OutOfRange,
+    RiskError,
     core_check,
     cvar_extremal_density,
     cvar_min,
@@ -25,7 +28,12 @@ from maxvar import (
 )
 from maxvar.axioms import _random_feasible_family, random_distribution
 
-from helpers import d4, random_small_dist
+from helpers import (
+    cvar_extremal_segments,
+    d4,
+    mixture_density_per_segment,
+    random_small_dist,
+)
 
 
 def xq(d, e):
@@ -181,16 +189,98 @@ class TestMixtureDensity:
             mixture_density(d4(), 2, fam)
 
     def test_partition_gap_rejected(self):
-        fam = CvarFeasibleFamily.from_constant_densities(
-            [0.0, 0.4, 0.9], [np.ones(4), np.ones(4)]
-        )
-        with pytest.raises(InfeasibleFamily):
-            mixture_density(d4(), 2, fam)
+        # ends short of 1, starts above 0, decreases, repeats a bound
+        for bounds in (
+            [0.0, 0.4, 0.9],
+            [0.1, 0.4, 1.0],
+            [0.0, 0.6, 0.4, 1.0],
+            [0.0, 0.5, 0.5, 1.0],
+        ):
+            fam = CvarFeasibleFamily.from_constant_densities(
+                bounds, [np.ones(4)] * (len(bounds) - 1)
+            )
+            with pytest.raises(InfeasibleFamily):
+                mixture_density(d4(), 2, fam)
 
     def test_dimension_mismatch(self):
-        fam = CvarFeasibleFamily.from_constant_densities([0.0, 1.0], [np.ones(3)])
-        with pytest.raises(DimensionMismatch):
-            mixture_density(d4(), 2, fam)
+        # every density too short, or densities of different lengths
+        for densities in ([np.ones(3)], [np.ones(4), np.ones(3)], [np.ones(3), np.ones(4)]):
+            bounds = np.linspace(0.0, 1.0, len(densities) + 1)
+            with pytest.raises(DimensionMismatch):
+                fam = CvarFeasibleFamily.from_constant_densities(bounds, densities)
+                mixture_density(d4(), 2, fam)
+
+
+@st.composite
+def small_laws(draw, max_atoms=12, min_weight_exp=-2.0):
+    m = draw(st.integers(1, max_atoms))
+    values = draw(st.lists(st.floats(-100, 100), min_size=m, max_size=m))
+    exps = draw(st.lists(st.floats(min_weight_exp, 0.0), min_size=m, max_size=m))
+    return from_samples([(v, 10.0**e) for v, e in zip(values, exps)])
+
+
+@st.composite
+def constant_families(draw):
+    """A law and 1-6 (bounds, density) segments: each density is a unit-mean
+    draw shrunk toward 1 to meet its bound, then maybe pushed past it or off
+    unit mean; the bounds may not increase, start at 0 or end at 1."""
+    d = draw(small_laws())
+    segments = draw(st.integers(1, 6))
+    cuts = draw(st.lists(st.floats(0.0, 1.0), min_size=segments - 1, max_size=segments - 1))
+    if draw(st.integers(0, 9)):
+        cuts = sorted(cuts)
+    start = draw(st.sampled_from([0.0, 0.0, 0.0, 0.1]))
+    end = draw(st.sampled_from([1.0, 1.0, 1.0, 0.9]))
+    bounds = np.array([start, *cuts, end])
+    densities = []
+    for lo in bounds[:-1]:
+        raw = np.array(
+            draw(st.lists(st.floats(1e-3, 2.0), min_size=d.atom_count, max_size=d.atom_count))
+        )
+        q = raw / math.fsum(raw * d.probs)
+        cap = 1.0 / (1.0 - min(lo, 0.999))
+        over = q > cap
+        gamma = float(np.min((cap - 1.0) / (q[over] - 1.0))) if over.any() else 1.0
+        gamma *= draw(st.sampled_from([0.999, 1.0, 1.5]))
+        densities.append((1.0 + gamma * (q - 1.0)) * draw(st.sampled_from([1.0, 1.0, 1.01])))
+    return d, bounds, densities
+
+
+def _outcome(build):
+    """The density's bytes, or the type of the typed error it raised."""
+    try:
+        return build().q.tobytes()
+    except RiskError as exc:
+        return type(exc)
+
+
+class TestFamilyArrays:
+    """The array form of a family integrates bit for bit like the reference
+    that validates and adds one segment at a time, and raises the same type of
+    error where that reference does."""
+
+    @given(constant_families(), st.integers(1, 12))
+    def test_constant_families_match_per_segment_reference(self, case, n):
+        d, bounds, densities = case
+        segments = [
+            (float(lo), float(hi), dens, np.zeros_like(dens))
+            for lo, hi, dens in zip(bounds[:-1], bounds[1:], densities)
+        ]
+        fam = CvarFeasibleFamily.from_constant_densities(bounds, densities)
+        assert _outcome(lambda: mixture_density(d, n, fam)) == _outcome(
+            lambda: mixture_density_per_segment(d, n, segments)
+        )
+
+    @given(small_laws(max_atoms=40, min_weight_exp=-20.0), st.integers(1, 12))
+    def test_cvar_extremal_matches_per_segment_reference(self, d, n):
+        fam = CvarFeasibleFamily.cvar_extremal(d)
+        segments = cvar_extremal_segments(d)
+        assert fam.bounds.tolist() == [0.0] + [hi for _, hi, _, _ in segments]
+        assert fam.flat.tobytes() == np.stack([flat for _, _, flat, _ in segments]).tobytes()
+        assert fam.tail.tobytes() == np.stack([tail for _, _, _, tail in segments]).tobytes()
+        assert _outcome(lambda: mixture_density(d, n, fam)) == _outcome(
+            lambda: mixture_density_per_segment(d, n, segments)
+        )
 
 
 class TestDiscreteMixture:
