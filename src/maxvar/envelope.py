@@ -124,42 +124,33 @@ class CvarFeasibleFamily:
 
 
 def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
-    # raises for the first failing segment, naming its first failing condition
-    # of: increasing bounds, 0 <= Q_a <= 1/(1-a) at each end, the two means
-    if fam.flat.shape[1] != d.atom_count:
+    shape = (len(fam.bounds) - 1, d.atom_count)
+    if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
         raise DimensionMismatch(
-            f"segment density has {fam.flat.shape[1]} entries, "
-            f"distribution has {d.atom_count} atoms"
+            f"flat and tail are {np.shape(fam.flat)} and {np.shape(fam.tail)}, "
+            f"need (segments, atoms) = {shape}"
         )
     if fam.bounds[0] != 0.0:
         raise InfeasibleFamily(
             f"segments must partition [0, 1); first starts at {float(fam.bounds[0])!r}"
         )
-    lo, hi = fam.bounds[:-1], fam.bounds[1:]
-    fails = [~(hi > lo)]
-    for a in (lo, hi):
+    for i in range(shape[0]):
+        lo, hi = float(fam.bounds[i]), float(fam.bounds[i + 1])
+        flat, tail = fam.flat[i], fam.tail[i]
+        if not hi > lo:
+            raise InfeasibleFamily("segment bounds must be increasing")
         # Q_a(1-a) = flat(1-a) + tail is linear in a, so the pointwise bounds
-        # 0 <= Q_a <= 1/(1-a) over a whole segment reduce to its endpoints.
-        scaled = fam.flat * (1.0 - a)[:, None] + fam.tail
-        fails += [(scaled < -_FEAS_TOL).any(axis=1), (scaled > 1.0 + _FEAS_TOL).any(axis=1)]
-    fails = np.column_stack(fails)
-    bad = np.flatnonzero(fails.any(axis=1))
-    first = int(bad[0]) if bad.size else len(lo)
-    # the means are exact sums, taken row by row up to the first failing row
-    for i in range(first):
-        where = f"segment [{float(lo[i])}, {float(hi[i])})"
-        if abs(_sum(fam.flat[i] * d.probs) - 1.0) > _FEAS_TOL:
-            raise InfeasibleFamily(f"{where} mean is not 1")
-        if abs(_sum(fam.tail[i] * d.probs)) > _FEAS_TOL:
-            raise InfeasibleFamily(f"{where} tail component has nonzero mean")
-    if bad.size:
-        a, b = float(lo[first]), float(hi[first])
-        reasons = ["bounds must be increasing"] + [
-            f"{what} at level {level}"
-            for level in (a, b)
-            for what in ("density goes negative", "exceeds the CVaR bound")
-        ]
-        raise InfeasibleFamily(f"segment [{a}, {b}) {reasons[int(np.argmax(fails[first]))]}")
+        # 0 <= Q_a <= 1/(1-a) over the whole segment reduce to its endpoints.
+        for a in (lo, hi):
+            scaled = flat * (1.0 - a) + tail
+            if np.any(scaled < -_FEAS_TOL):
+                raise InfeasibleFamily(f"segment [{lo}, {hi}) density goes negative at level {a}")
+            if np.any(scaled > 1.0 + _FEAS_TOL):
+                raise InfeasibleFamily(f"segment [{lo}, {hi}) exceeds the CVaR bound at level {a}")
+        if abs(_sum(flat * d.probs) - 1.0) > _FEAS_TOL:
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) mean is not 1")
+        if abs(_sum(tail * d.probs)) > _FEAS_TOL:
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) tail component has nonzero mean")
     if fam.bounds[-1] != 1.0:
         raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")
 
@@ -273,8 +264,9 @@ def mixture_density(
     d_v = np.diff(_weight_over_tail_arr(n, fam.bounds))[:, None]
     terms = fam.flat * d_w
     terms += fam.tail * d_v
-    # the rows are added one at a time from zero, in partition order
-    return EnvelopeDensity(np.add.reduce(terms, axis=0, initial=0.0))
+    # accumulate adds the rows one at a time in partition order, whatever the
+    # memory layout; the leading 0.0 + turns a -0.0 total into +0.0
+    return EnvelopeDensity(0.0 + np.add.accumulate(terms, axis=0, out=terms)[-1])
 
 
 @dataclass(frozen=True)
