@@ -54,18 +54,18 @@ def _sum(x) -> float:
     its biased exponent (1 for subnormals), bin it by ``e // 16``, and add
     the bins with ``np.bincount``. The exact integer total is then divided
     by ``2**1075``; CPython's int true division rounds correctly, subnormal
-    results included. Everything else (non-arrays, small arrays, non-finite
-    or huge entries) goes to ``math.fsum``, which keeps its results and its
-    errors on inf, nan and intermediate overflow.
+    results included. A shorter 1-d float64 array goes to ``math.fsum`` as a
+    list: iterating the array would make one numpy scalar per element, and
+    ``.tolist()`` gives the same floats about twice as fast (the list is
+    never longer than ``_SUM_MIN_SIZE``). Everything else (non-arrays,
+    non-finite or huge entries) goes to ``math.fsum`` as it is, which keeps
+    its results and its errors on inf, nan and intermediate overflow.
     """
-    if not (
-        isinstance(x, np.ndarray)
-        and _SUM_MIN_SIZE <= x.size < _SUM_MAX_SIZE
-        and x.ndim == 1
-        and x.dtype == np.float64
-        and x.max() < _SUM_MAX_ABS
-        and x.min() > -_SUM_MAX_ABS
-    ):
+    if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64):
+        return math.fsum(x)
+    if x.size < _SUM_MIN_SIZE:
+        return math.fsum(x.tolist())
+    if not (x.size < _SUM_MAX_SIZE and x.max() < _SUM_MAX_ABS and x.min() > -_SUM_MAX_ABS):
         return math.fsum(x)
     # bins[k] holds the coefficient of 2**(16 k) in the total, in units of
     # 2**-1075. Bin q = e // 16 is bits 56..62 of the element; scaling by

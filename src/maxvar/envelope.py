@@ -219,8 +219,11 @@ def core_check(
     Verifies E(Q 1_A) <= h(P(A)) + 1e-9 on every upper-level set
     A = {Q >= threshold} (thresholds at distinct q values; tied atoms enter
     together) and E(Q) = 1 +- 1e-9. Reports the largest signed violation and
-    the sets where equality holds within 1e-9; pass ``collect_sets=False`` to
-    skip materializing the tight sets on large distributions.
+    the sets where equality holds within 1e-9, each as its atom values in
+    ascending order. Collecting them takes the sets themselves plus one
+    t x m boolean mask for t tight sets on m atoms: O(m^2) for the extremal
+    density, where every upper-level set is tight. Pass
+    ``collect_sets=False`` on large laws to skip them.
     """
     n = _copy_count(nc)
     q = e.q
@@ -231,9 +234,15 @@ def core_check(
     violations, order, ends = _upper_set_violations(d, n, q)
     tight: list[tuple[float, ...]] = []
     if collect_sets:
-        for j in ends[np.abs(violations) <= _CORE_TOL]:
-            members = np.sort(d.values[order[: j + 1]])
-            tight.append(tuple(members.tolist()))
+        # set j holds the atoms of rank <= j in the descending-q order; the
+        # values ascend, so a row of the mask lists its members in value order
+        tight_ends = ends[np.abs(violations) <= _CORE_TOL]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        inside = rank <= tight_ends[:, None]
+        members = np.broadcast_to(d.values, inside.shape)[inside].tolist()
+        stops = np.cumsum(tight_ends + 1).tolist()
+        tight = [tuple(members[a:b]) for a, b in zip([0, *stops], stops)]
     mean_gap = _sum(q * d.probs) - 1.0
     max_violation = float(np.max(violations))
     passed = max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,16 +82,22 @@ class McEstimate:
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre rule: ``panels`` subintervals of [0, 1] with
-    ``points_per_panel`` nodes each."""
+    ``points_per_panel`` nodes each; panels >= 1 and 2 <= points_per_panel
+    <= 64. Like :class:`CopyCount`, bools and floats (even 16.0) are rejected."""
 
     panels: int
     points_per_panel: int = 16
 
     def __post_init__(self) -> None:
-        if self.panels < 1:
-            raise OutOfRange("panels must be >= 1")
-        if not 2 <= self.points_per_panel <= 64:
-            raise OutOfRange("points_per_panel must be in 2..64")
+        for name, lo, hi in (("panels", 1, math.inf), ("points_per_panel", 2, 64)):
+            raw = getattr(self, name)
+            if (
+                isinstance(raw, bool)
+                or not isinstance(raw, (int, np.integer))
+                or not lo <= raw <= hi
+            ):
+                raise OutOfRange(f"{name} must be an integer in {lo}..{hi}, got {raw!r}")
+            object.__setattr__(self, name, int(raw))
 
 
 def _alpha_value(a) -> float:
@@ -267,6 +274,16 @@ def suggest_rule(d: EmpiricalDistribution, points_per_panel: int = 16) -> Quadra
     )
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    # nodes and weights on [-1, 1]; leggauss is an eigenvalue solve, so solve
+    # once per point count (at most 63 counts) and share read-only arrays
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> float:
     """Composite Gauss-Legendre approximation of the CVaR mixture.
 
@@ -290,13 +307,16 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     while len(bounds) - 1 < q.panels:
         widest = int(np.argmax(np.diff(bounds)))  # leftmost widest: deterministic
         bounds = np.insert(bounds, widest + 1, 0.5 * (bounds[widest] + bounds[widest + 1]))
-    nodes, gl_weights = np.polynomial.legendre.leggauss(q.points_per_panel)
+    nodes, gl_weights = _gauss_legendre(q.points_per_panel)
     lo, hi = bounds[:-1, None], bounds[1:, None]
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
     k = _var_index(d, x)
     integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
-    return _sum([h * _sum(row) for h, row in zip(half[:, 0], gl_weights * integrand)])
+    # one .tolist() for all panels: each short row is then fsummed as a list,
+    # the same sums in the same order as over numpy rows, minus a scalar each
+    rows = (gl_weights * integrand).tolist()
+    return _sum([h * _sum(row) for h, row in zip(half[:, 0].tolist(), rows)])
 
 
 def maxvar_mc(

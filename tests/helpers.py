@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from maxvar import (
+    BudgetTooSmall,
     DimensionMismatch,
     EmptyInput,
     EmpiricalDistribution,
@@ -20,12 +21,16 @@ from maxvar import (
     NegativeProb,
     ParseError,
     ProbSumMismatch,
+    QuadratureRule,
     SeededSampler,
+    expectation,
     from_samples,
+    quadrature_breakpoints,
     sample,
 )
 from maxvar.cli import PROB_COLUMN, ScenarioTable
-from maxvar.measures import _weight_cdf_arr, _weight_over_tail_arr
+from maxvar.envelope import _CORE_TOL, _upper_set_violations
+from maxvar.measures import _copy_count, _var_index, _weight_cdf_arr, _weight_over_tail_arr
 
 
 def d4() -> EmpiricalDistribution:
@@ -236,3 +241,41 @@ def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> E
         d_v = float(np.diff(_weight_over_tail_arr(n, bounds))[0])
         q += flat * d_w + tail * d_v
     return EnvelopeDensity(q)
+
+
+def mixture_quad_per_panel(d: EmpiricalDistribution, nc, q: QuadratureRule) -> float:
+    """Reference that ``maxvar.maxvar_mixture_quad`` must match bit for bit:
+    the Gauss-Legendre nodes are solved afresh on every call and each panel's
+    numpy row is summed as it is. Sums use ``math.fsum``, which the library's
+    exact sum matches bit for bit."""
+    n = _copy_count(nc)
+    if n == 1:
+        return expectation(d)
+    breaks = quadrature_breakpoints(d)
+    if q.panels < len(breaks) + 1:
+        raise BudgetTooSmall(
+            f"{q.panels} panels cannot snap to {len(breaks)} breakpoints; "
+            f"need at least {len(breaks) + 1}"
+        )
+    bounds = np.concatenate(([0.0], breaks, [1.0]))
+    while len(bounds) - 1 < q.panels:
+        widest = int(np.argmax(np.diff(bounds)))  # leftmost widest: deterministic
+        bounds = np.insert(bounds, widest + 1, 0.5 * (bounds[widest] + bounds[widest + 1]))
+    nodes, gl_weights = np.polynomial.legendre.leggauss(q.points_per_panel)
+    lo, hi = bounds[:-1, None], bounds[1:, None]
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
+    k = _var_index(d, x)
+    integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
+    return math.fsum([h * math.fsum(row) for h, row in zip(half[:, 0], gl_weights * integrand)])
+
+
+def tight_sets_by_sort(d: EmpiricalDistribution, n: int, e: EnvelopeDensity) -> tuple:
+    """Reference for ``maxvar.core_check(...).tight_sets``: gather each tight
+    upper-level set from the descending-q order and sort its values."""
+    violations, order, ends = _upper_set_violations(d, n, e.q)
+    tight = []
+    for j in ends[np.abs(violations) <= _CORE_TOL]:
+        members = np.sort(d.values[order[: j + 1]])
+        tight.append(tuple(members.tolist()))
+    return tuple(tight)

@@ -228,8 +228,11 @@ class TestSampler:
             assert abs(emp - f) <= eps
 
 
-# Lengths on both sides of the fsum cut-off and of a chunk boundary.
+# Lengths on both sides of the fsum cut-off and of a chunk boundary, and
+# the empty and one-element arrays of the short-array path.
 SUM_LENGTHS = (
+    0,
+    1,
     3,
     _SUM_MIN_SIZE - 1,
     _SUM_MIN_SIZE,
@@ -255,7 +258,7 @@ def sum_inputs(draw):
     kind = draw(st.sampled_from(["cancel", "subnormal", "wide", "zeros", "drawn"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "cancel":
-        half = (n - 1) // 2
+        half = max(n - 1, 0) // 2
         y = rng.standard_normal(half) * 10.0 ** rng.integers(-20, 21, half)
         dust = rng.standard_normal(n - 2 * half) * 10.0 ** rng.integers(-320, -20, n - 2 * half)
         x = rng.permutation(np.concatenate([y, -y, dust]))

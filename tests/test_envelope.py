@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     d4,
     mixture_density_per_segment,
     random_small_dist,
+    tight_sets_by_sort,
 )
 
 
@@ -133,6 +135,28 @@ class TestCoreCheck:
     def test_ties_enter_together(self):
         report = core_check(d4(), 2, EnvelopeDensity(np.ones(4)))
         assert report.tight_sets == ((1.0, 2.0, 3.0, 4.0),)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 64))
+    def test_tight_sets_match_sort_per_set_reference(self, data, n):
+        # equal weights and cvar_extremal_density tie q, so sets enter together
+        d = data.draw(
+            st.one_of(
+                small_laws(max_atoms=1),
+                small_laws(max_atoms=40, min_weight_exp=-20.0),
+                small_laws(max_atoms=40, min_weight_exp=0.0),
+            )
+        )
+        alpha = data.draw(st.floats(0.0, 0.99))
+        for e in (
+            extremal_density(d, n),
+            cvar_extremal_density(d, alpha),
+            EnvelopeDensity(np.ones(d.atom_count)),
+        ):
+            report = core_check(d, n, e)
+            assert report.tight_sets == tight_sets_by_sort(d, n, e)
+            assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
 
 
 class TestMixtureDensity:

@@ -31,6 +31,7 @@ from maxvar import (
     weight,
     weight_cdf,
 )
+from maxvar.measures import _gauss_legendre
 
 from helpers import (
     bernoulli_half,
@@ -40,6 +41,7 @@ from helpers import (
     d4,
     exact_maxvar,
     mc_draw_then_max,
+    mixture_quad_per_panel,
     random_small_dist,
 )
 
@@ -72,6 +74,17 @@ copies = st.integers(1, 6)
 one_atom_laws = st.floats(-1e8, 1e8).map(lambda v: from_samples([(v, 1.0)]))
 
 
+@st.composite
+def quad_laws(draw, max_atoms=40):
+    # equal weights (ties in the breakpoints' spacing), or masses down to 1e-20
+    m = draw(st.integers(1, max_atoms))
+    values = draw(st.lists(st.floats(-1e8, 1e8), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        return from_samples([(v, 1.0) for v in values])
+    exponents = draw(st.lists(st.floats(-20.0, 0.0), min_size=m, max_size=m))
+    return from_samples([(v, 10.0**e) for v, e in zip(values, exponents)])
+
+
 class TestDomainTypes:
     def test_risk_level_rejects_one(self):
         with pytest.raises(OutOfRange):
@@ -98,6 +111,14 @@ class TestDomainTypes:
             QuadratureRule(panels=1, points_per_panel=1)
         with pytest.raises(OutOfRange):
             QuadratureRule(panels=1, points_per_panel=65)
+
+    def test_quadrature_rule_rejects_non_integers(self):
+        for panels, points in ((3, 16.5), (4, 16.0), (2.5, 16), (True, 16), (4, False)):
+            with pytest.raises(OutOfRange):
+                QuadratureRule(panels, points)
+        rule = QuadratureRule(np.int64(4), np.int32(8))
+        assert type(rule.panels) is int and type(rule.points_per_panel) is int
+        assert rule == QuadratureRule(4, 8)
 
 
 class TestVar:
@@ -299,6 +320,38 @@ class TestMixtureQuad:
         d = from_samples([(0.0, 0.9999999999999999), (1e6, 1e-16)])
         value = maxvar_mixture_quad(d, 2, suggest_rule(d))
         assert abs(value - 2e-10) <= 1e-12 * 2e-10
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(quad_laws(), one_atom_laws),
+        st.integers(1, 64),
+        st.integers(0, 40),
+        st.integers(2, 64),
+    )
+    def test_matches_per_panel_reference(self, d, n, extra_panels, points):
+        # extra panels exercise the midpoint insertion between breakpoints
+        rule = QuadratureRule(suggest_rule(d).panels + extra_panels, points)
+        got = maxvar_mixture_quad(d, n, rule)
+        assert got.hex() == mixture_quad_per_panel(d, n, rule).hex()
+
+    def test_cached_nodes_are_read_only(self):
+        for array in _gauss_legendre(16):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cached_nodes_match_a_fresh_solve(self):
+        # a law off the exact-polynomial path: 8 points differ from 16
+        d = from_samples([(v, 1.0 + v % 3) for v in range(-7, 30)])
+        values = []
+        for points in (16, 8, 16):
+            rule = suggest_rule(d, points)
+            nodes, gl_weights = np.polynomial.legendre.leggauss(points)
+            assert _gauss_legendre(points)[0].tobytes() == nodes.tobytes()
+            assert _gauss_legendre(points)[1].tobytes() == gl_weights.tobytes()
+            values.append(maxvar_mixture_quad(d, 40, rule))
+            assert values[-1].hex() == mixture_quad_per_panel(d, 40, rule).hex()
+        assert values[0] == values[2] != values[1]
 
 
 class TestMonteCarlo:
