@@ -7,7 +7,6 @@ property-test battery for the coherency and averseness axioms.
 
 from .axioms import (
     CheckRecord,
-    PairedScenarios,
     VerificationReport,
     check_averseness,
     check_constant,
@@ -23,12 +22,15 @@ from .axioms import (
 from .dist import (
     CdfValue,
     EmpiricalDistribution,
+    PortfolioSpec,
+    ScenarioTable,
     SeededSampler,
     abs_expectation,
     affine,
     cdf,
     expectation,
     from_samples,
+    portfolio_law,
     quantile,
     sample,
 )
@@ -90,11 +92,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # Older callers read the CLI helpers from the package (``mv.load_csv``);
-    # they load maxvar.cli on first use instead of on every library import.
-    if name in ("PortfolioSpec", "RiskQuery", "ScenarioTable", "cmd_verify",
-                "emit_curve", "emit_envelope", "emit_table", "load_csv",
-                "portfolio_law", "run_query", "sample_data_path"):
+    # Two CLI helpers are still read from the package (``mv.load_csv``); they
+    # load maxvar.cli on first use instead of on every library import.
+    if name in ("emit_envelope", "load_csv"):
         from . import cli
 
         return getattr(cli, name)

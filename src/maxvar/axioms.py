@@ -2,7 +2,9 @@
 the cross-route identities, with machine-readable reports.
 
 Subadditivity and the other two-variable properties need a joint law, not
-just marginals, so :class:`PairedScenarios` is the test currency. Closedness
+just marginals, so their test currency is a :class:`ScenarioTable` with
+columns ``x`` and ``y``, and every law of it comes from :func:`portfolio_law`
+through the specs below. Closedness
 cannot be quantified over limits directly; it is covered by the Lipschitz
 surrogate |maxvar_n(X) - maxvar_n(Y)| <= n E|X - Y| and labeled
 "A4-surrogate" in reports.
@@ -18,13 +20,16 @@ import numpy as np
 from ._serialize import render_json
 from .dist import (
     EmpiricalDistribution,
+    PortfolioSpec,
+    ScenarioTable,
     SeededSampler,
-    _check_probs,
+    _integer,
     _sum,
     abs_expectation,
     affine,
     expectation,
     from_samples,
+    portfolio_law,
 )
 from .envelope import (
     CvarFeasibleFamily,
@@ -33,13 +38,7 @@ from .envelope import (
     extremal_density,
     mixture_density,
 )
-from .errors import (
-    BudgetTooSmall,
-    DimensionMismatch,
-    NonFiniteValue,
-    OutOfRange,
-    PreconditionViolated,
-)
+from .errors import BudgetTooSmall, OutOfRange, PreconditionViolated
 from .measures import (
     _copy_count,
     cvar_choquet,
@@ -50,54 +49,20 @@ from .measures import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PairedScenarios:
-    """A joint law of (X, Y) on common scenarios."""
+# Portfolios of a table with columns x and y: portfolio_law(t, X) is the law
+# of X, portfolio_law(t, X_PLUS_Y) the joint law's sum, and so on.
+X = PortfolioSpec({"x": 1.0})
+Y = PortfolioSpec({"y": 1.0})
+X_PLUS_Y = PortfolioSpec({"x": 1.0, "y": 1.0})
+# (lam, lam*X + (1-lam)*Y) for the convexity check
+MIXES = tuple(
+    (lam, PortfolioSpec({"x": lam, "y": 1.0 - lam})) for lam in (0.25, 0.5, 0.75)
+)
 
-    x: np.ndarray
-    y: np.ndarray
-    probs: np.ndarray
 
-    def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if not (len(x) == len(y) == len(probs)) or len(x) == 0:
-            raise DimensionMismatch("x, y, probs must be nonempty and equally long")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise NonFiniteValue("scenario values must be finite")
-        _check_probs(probs, what="scenario probabilities")
-        for name, arr in (("x", x), ("y", y), ("probs", probs)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_weights(cls, x, y, weights=None) -> "PairedScenarios":
-        """Build a joint law from raw weights (uniform when omitted)."""
-        x = np.asarray(x, dtype=float)
-        if weights is None:
-            weights = np.ones(len(x))
-        weights = np.asarray(weights, dtype=float)
-        return cls(x, y, weights / _sum(weights))
-
-    def marginal_x(self) -> EmpiricalDistribution:
-        return from_samples(np.column_stack([self.x, self.probs]))
-
-    def marginal_y(self) -> EmpiricalDistribution:
-        return from_samples(np.column_stack([self.y, self.probs]))
-
-    def sum_law(self) -> EmpiricalDistribution:
-        return from_samples(np.column_stack([self.x + self.y, self.probs]))
-
-    def mix_law(self, lam: float) -> EmpiricalDistribution:
-        """Law of lam*X + (1-lam)*Y, scenario-wise."""
-        return from_samples(
-            np.column_stack([lam * self.x + (1.0 - lam) * self.y, self.probs])
-        )
-
-    def mean_abs_diff(self) -> float:
-        return _sum(np.abs(self.x - self.y) * self.probs)
+def _xy_table(x, y, probs) -> ScenarioTable:
+    # x and y of the same length, from the suite's own draws
+    return ScenarioTable(("x", "y"), np.column_stack([x, y]), probs)
 
 
 @dataclass(frozen=True)
@@ -162,28 +127,29 @@ def check_constant(nc, c: float) -> CheckRecord:
     )
 
 
-def check_subadditivity(p: PairedScenarios, nc) -> CheckRecord:
-    """maxvar_n(X+Y) <= maxvar_n(X) + maxvar_n(Y) on the joint law."""
+def check_subadditivity(t: ScenarioTable, nc) -> CheckRecord:
+    """maxvar_n(X+Y) <= maxvar_n(X) + maxvar_n(Y) on the joint law of the
+    table's columns ``x`` and ``y``."""
     n = _copy_count(nc)
-    joint = maxvar_choquet(p.sum_law(), n)
-    split = maxvar_choquet(p.marginal_x(), n) + maxvar_choquet(p.marginal_y(), n)
+    joint = maxvar_choquet(portfolio_law(t, X_PLUS_Y), n)
+    split = maxvar_choquet(portfolio_law(t, X), n) + maxvar_choquet(portfolio_law(t, Y), n)
     return _record(
         "subadditivity",
         joint - split,
         1e-9,
-        f"scenarios={len(p.x)} n={n} lhs={joint!r} rhs={split!r}",
+        f"scenarios={len(t.rows)} n={n} lhs={joint!r} rhs={split!r}",
     )
 
 
-def check_monotonicity(p: PairedScenarios, nc) -> CheckRecord:
-    """X <= Y scenario-wise implies maxvar_n(X) <= maxvar_n(Y)."""
+def check_monotonicity(t: ScenarioTable, nc) -> CheckRecord:
+    """x <= y scenario-wise implies maxvar_n(X) <= maxvar_n(Y)."""
     n = _copy_count(nc)
-    if np.any(p.x > p.y):
+    if np.any(t.column("x") > t.column("y")):
         raise PreconditionViolated("monotonicity needs x <= y in every scenario")
-    low = maxvar_choquet(p.marginal_x(), n)
-    high = maxvar_choquet(p.marginal_y(), n)
+    low = maxvar_choquet(portfolio_law(t, X), n)
+    high = maxvar_choquet(portfolio_law(t, Y), n)
     return _record(
-        "A3-monotonicity", low - high, 1e-9, f"scenarios={len(p.x)} n={n}"
+        "A3-monotonicity", low - high, 1e-9, f"scenarios={len(t.rows)} n={n}"
     )
 
 
@@ -230,33 +196,34 @@ def check_averseness(d: EmpiricalDistribution, nc) -> CheckRecord:
     )
 
 
-def check_l2_continuity(p: PairedScenarios, nc) -> CheckRecord:
+def check_l2_continuity(t: ScenarioTable, nc) -> CheckRecord:
     """Surrogate for closedness: |maxvar_n(X) - maxvar_n(Y)| <= n E|X - Y|."""
     n = _copy_count(nc)
     diff = abs(
-        maxvar_choquet(p.marginal_x(), n) - maxvar_choquet(p.marginal_y(), n)
+        maxvar_choquet(portfolio_law(t, X), n) - maxvar_choquet(portfolio_law(t, Y), n)
     )
+    mean_abs_diff = _sum(np.abs(t.column("x") - t.column("y")) * t.scenario_probs)
     return _record(
         "A4-surrogate",
-        diff - n * p.mean_abs_diff(),
+        diff - n * mean_abs_diff,
         1e-9,
-        f"scenarios={len(p.x)} n={n}",
+        f"scenarios={len(t.rows)} n={n}",
     )
 
 
-def _check_convexity(p: PairedScenarios, nc) -> CheckRecord:
+def _check_convexity(t: ScenarioTable, nc) -> CheckRecord:
     # implied by subadditivity + positive homogeneity; checked directly anyway
     n = _copy_count(nc)
     worst = -math.inf
     witness = ""
-    rx = maxvar_choquet(p.marginal_x(), n)
-    ry = maxvar_choquet(p.marginal_y(), n)
-    for lam in (0.25, 0.5, 0.75):
-        mixed = maxvar_choquet(p.mix_law(lam), n)
+    rx = maxvar_choquet(portfolio_law(t, X), n)
+    ry = maxvar_choquet(portfolio_law(t, Y), n)
+    for lam, mix in MIXES:
+        mixed = maxvar_choquet(portfolio_law(t, mix), n)
         violation = mixed - (lam * rx + (1.0 - lam) * ry)
         if violation > worst:
             worst = violation
-            witness = f"lam={lam} scenarios={len(p.x)} n={n}"
+            witness = f"lam={lam} scenarios={len(t.rows)} n={n}"
     return _record("A2-convexity", worst, 1e-9, witness)
 
 
@@ -408,11 +375,13 @@ def random_distribution(
     return from_samples(np.column_stack([values, weights]))
 
 
-def random_paired(gen: np.random.Generator) -> PairedScenarios:
+def random_paired(gen: np.random.Generator) -> ScenarioTable:
+    """Random positions x and y on 1-300 common scenarios with random weights."""
     k = int(gen.integers(1, _PAIRED_MAX_SCENARIOS + 1))
     x = gen.uniform(-100.0, 100.0, size=k)
     y = gen.uniform(-100.0, 100.0, size=k)
-    return PairedScenarios.from_weights(x, y, gen.uniform(0.05, 1.0, size=k))
+    weights = gen.uniform(0.05, 1.0, size=k)
+    return _xy_table(x, y, weights / _sum(weights))
 
 
 def run_suite(seed: int, trials: int) -> VerificationReport:
@@ -422,7 +391,7 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
     the seed, and records aggregate the worst signed violation per check
     name. Byte-identical reports for identical (seed, trials).
     """
-    trials = int(trials)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise BudgetTooSmall("need at least 1 trial")
     worst: dict[str, CheckRecord] = {}
@@ -443,17 +412,13 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
 
         consider(check_constant(n, c))
         consider(check_subadditivity(pair, n))
-        mono = PairedScenarios(
-            pair.x, pair.x + np.abs(pair.y) * 0.1, pair.probs
-        )
-        consider(check_monotonicity(mono, n))
+        x, y = pair.column("x"), pair.column("y")
+        consider(check_monotonicity(_xy_table(x, x + np.abs(y) * 0.1, pair.probs), n))
         consider(check_positive_homogeneity(d, n, lam))
         consider(check_translation(d, n, c))
         averse_d = d if d.atom_count >= 2 else random_distribution(gen, 50, min_atoms=2)
         consider(check_averseness(averse_d, n))
-        near = PairedScenarios(
-            pair.x, pair.x + gen.uniform(-0.5, 0.5, size=len(pair.x)), pair.probs
-        )
+        near = _xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
         consider(check_l2_continuity(near, n))
         consider(_check_convexity(pair, n))
         consider(_check_abs_bound(d, n))

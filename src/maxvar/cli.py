@@ -1,4 +1,4 @@
-"""Scenario ingestion, portfolio aggregation, and the command-line interface.
+"""Scenario CSV ingestion and the command-line interface.
 
 Input is a single CSV format: UTF-8, comma separated, first row is the
 header, every other cell a decimal real. A column literally named "prob"
@@ -19,24 +19,25 @@ import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from . import axioms
 from ._serialize import format_number, format_rows, render_json
 from .axioms import CheckRecord, VerificationReport, run_suite
-from .dist import EmpiricalDistribution, SeededSampler, _check_probs, _sum, affine, from_samples
-from .envelope import extremal_density
-from .errors import (
-    AllZeroWeights,
-    EmptyInput,
-    MissingHeader,
-    NonFiniteValue,
-    OutOfRange,
-    ParseError,
-    RiskError,
-    UnknownColumn,
+from .dist import (
+    PortfolioSpec,
+    ScenarioTable,
+    SeededSampler,
+    _check_probs,
+    _sum,
+    affine,
+    from_samples,  # unused here; perfbench's tracer test reads maxvar.cli.from_samples
+    portfolio_law,
 )
+from .envelope import extremal_density
+from .errors import EmptyInput, MissingHeader, OutOfRange, ParseError, RiskError
 from .measures import (
     CopyCount,
     QuadratureRule,
@@ -88,63 +89,6 @@ _CSV_PROB_SUM_TOL = 1e-9
 def sample_data_path() -> Path:
     """Path of the bundled sample scenario CSV."""
     return Path(str(resources.files("maxvar").joinpath("data/sample_scenarios.csv")))
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioTable:
-    """Named columns of per-scenario outcomes with optional probabilities."""
-
-    columns: tuple[str, ...]
-    rows: np.ndarray
-    probs: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float).copy()
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise ParseError("a table needs at least one scenario row")
-        if rows.shape[1] != len(self.columns):
-            raise ParseError("row width does not match the header")
-        if not np.isfinite(rows).all():
-            raise NonFiniteValue("scenario outcomes must be finite")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", tuple(self.columns))
-        if self.probs is not None:
-            probs = np.asarray(self.probs, dtype=float).copy()
-            if len(probs) != rows.shape[0]:
-                raise ParseError("probability column length does not match the rows")
-            _check_probs(probs, what="scenario probabilities")
-            probs.setflags(write=False)
-            object.__setattr__(self, "probs", probs)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise UnknownColumn(f"no column named {name!r}")
-        return self.rows[:, self.columns.index(name)]
-
-    @property
-    def scenario_probs(self) -> np.ndarray:
-        if self.probs is not None:
-            return self.probs
-        count = self.rows.shape[0]
-        return np.full(count, 1.0 / count)
-
-
-@dataclass(frozen=True)
-class PortfolioSpec:
-    """Column weights defining the portfolio value per scenario."""
-
-    weights: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if not self.weights:
-            raise EmptyInput("portfolio needs at least one column weight")
-        clean = {str(k): float(v) for k, v in self.weights.items()}
-        if not all(math.isfinite(w) for w in clean.values()):
-            raise OutOfRange("portfolio weights must be finite")
-        if not any(w != 0.0 for w in clean.values()):
-            raise AllZeroWeights("portfolio weights are all zero")
-        object.__setattr__(self, "weights", clean)
 
 
 @dataclass(frozen=True)
@@ -201,10 +145,10 @@ def _convert_cells(widths: list[int], cells: list[str], width: int) -> np.ndarra
     return parsed.reshape(len(widths), width)
 
 
-def _parse_cells(path, header: list[str], widths: list[int], cells: list[str]) -> np.ndarray:
-    """Row-major cell by cell, raising ParseError at the first bad row or
-    cell (a row's width is checked before its cells)."""
-    parsed = np.empty((len(widths), len(header)))
+def _raise_bad_cell(path, header: list[str], widths: list[int], cells: list[str]) -> NoReturn:
+    """Raise ParseError at the first bad row or cell, row-major (a row's width
+    is checked before its cells); called once :func:`_convert_cells` has
+    found that there is one."""
     end = 0
     for i, width in enumerate(widths, start=1):
         if width != len(header):
@@ -221,8 +165,6 @@ def _parse_cells(path, header: list[str], widths: list[int], cells: list[str]) -
                 raise ParseError(
                     f"{path}: row {i}, column {header[j]!r}: non-finite value"
                 )
-            parsed[i - 1, j] = value
-    return parsed
 
 
 def load_csv(path) -> ScenarioTable:
@@ -275,7 +217,7 @@ def load_csv(path) -> ScenarioTable:
         raise EmptyInput(f"{path}: no scenario rows after the header")
     parsed = _convert_cells(widths, cells, len(header))
     if parsed is None:  # some row or cell is bad: find the first and name it
-        parsed = _parse_cells(path, header, widths, cells)
+        _raise_bad_cell(path, header, widths, cells)
     probs = None
     if PROB_COLUMN in header:
         j = header.index(PROB_COLUMN)
@@ -287,15 +229,6 @@ def load_csv(path) -> ScenarioTable:
         if not header:
             raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
     return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)
-
-
-def portfolio_law(t: ScenarioTable, p: PortfolioSpec) -> EmpiricalDistribution:
-    """Per scenario, value = sum of weight_c * outcome_c; then merge into a law."""
-    combo = np.zeros(t.rows.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # from_samples rejects inf/nan
-        for name, w in p.weights.items():
-            combo = combo + w * t.column(name)
-    return from_samples(np.column_stack([combo, t.scenario_probs]))
 
 
 def run_query(t: ScenarioTable, p: PortfolioSpec, q: RiskQuery) -> dict:
@@ -369,9 +302,7 @@ def _column_checks(table: ScenarioTable, n: int) -> list[CheckRecord]:
     """The suite's route-mixture and strong-duality checks on each column."""
     records = []
     for name in table.columns:
-        law = from_samples(
-            np.column_stack([table.column(name), table.scenario_probs])
-        )
+        law = portfolio_law(table, PortfolioSpec({name: 1.0}))
         records += [
             replace(
                 axioms._check_route_mixture(law, n),
@@ -500,9 +431,8 @@ def _build_request(args):
         if args.panels is not None or args.points is not None:
             if args.panels is None:
                 raise _UsageError("--points requires --panels")
-            rule = QuadratureRule(
-                panels=args.panels, points_per_panel=args.points or 16
-            )
+            points = {} if args.points is None else {"points_per_panel": args.points}
+            rule = QuadratureRule(panels=args.panels, **points)
         query = RiskQuery(
             measure=args.command,
             n=args.n,

@@ -1,9 +1,12 @@
-"""Finite empirical distributions: exact CDF/quantile/expectation machinery
-plus deterministic inverse-CDF sampling.
+"""Finite empirical distributions: exact CDF/quantile/expectation machinery,
+deterministic inverse-CDF sampling, and the laws of portfolios of positions
+on common scenarios.
 
 All laws are finite collections of atoms. Atom values are strictly increasing
 (duplicates merged by exact bit equality at construction) and probabilities
 are positive, normalized by their correctly rounded sum (via :func:`_sum`).
+A :class:`ScenarioTable` holds several positions on the same scenarios;
+:func:`portfolio_law` is the one place a joint table becomes a law.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     NonFiniteValue,
     OutOfRange,
     ProbSumMismatch,
+    UnknownColumn,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -97,6 +101,20 @@ def _check_probs(probs, tol: float = PROB_SUM_TOL, what: str = "probabilities") 
     if abs(total - 1.0) > tol:
         raise ProbSumMismatch(f"{what} sum to {total!r}, not 1")
     return total
+
+
+def _integer(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an int, checked to be an int or numpy integer in ``lo..hi``;
+    bools and floats (even 16.0) are rejected, never truncated."""
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, (int, np.integer))
+        or (lo is not None and x < lo)
+        or (hi is not None and x > hi)
+    ):
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise OutOfRange(f"{what} must be an integer{bound}, got {x!r}")
+    return int(x)
 
 
 def _unit_interval(x, what: str) -> float:
@@ -199,9 +217,7 @@ class SeededSampler:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            raw = getattr(self, name)
-            if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
-                raise OutOfRange(f"{name} must be an integer, got {raw!r}")
+            _integer(getattr(self, name), name)
         key = np.array(
             [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
@@ -209,9 +225,7 @@ class SeededSampler:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Next ``count`` uniforms in [0, 1) from this stream."""
-        if count < 0:
-            raise OutOfRange("count must be >= 0")
-        return self._gen.random(int(count))
+        return self._gen.random(_integer(count, "count", 0))
 
     def generator(self) -> np.random.Generator:
         """The underlying generator, for structured draws in test harnesses."""
@@ -301,3 +315,75 @@ def affine(d: EmpiricalDistribution, scale: float, shift: float) -> EmpiricalDis
     uniq, inverse = np.unique(new_values, return_inverse=True)
     merged = np.bincount(inverse, weights=d.probs, minlength=len(uniq))
     return EmpiricalDistribution(uniq, merged)
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioTable:
+    """Named columns of per-scenario outcomes with optional probabilities
+    (equal weights when omitted): positions on common scenarios, so a
+    portfolio of them has a joint law, not just marginals.
+
+    Immutable after construction; the arrays are read-only copies.
+    """
+
+    columns: tuple[str, ...]
+    rows: np.ndarray
+    probs: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=float).copy()
+        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+            raise DimensionMismatch("rows must be 2-d with one column per name")
+        if rows.shape[0] == 0:
+            raise EmptyInput("a table needs at least one scenario row")
+        if not np.isfinite(rows).all():
+            raise NonFiniteValue("scenario outcomes must be finite")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "columns", tuple(self.columns))
+        if self.probs is not None:
+            probs = np.asarray(self.probs, dtype=float).copy()
+            if probs.shape != (rows.shape[0],):
+                raise DimensionMismatch("need one probability per scenario row")
+            _check_probs(probs, what="scenario probabilities")
+            probs.setflags(write=False)
+            object.__setattr__(self, "probs", probs)
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise UnknownColumn(f"no column named {name!r}")
+        return self.rows[:, self.columns.index(name)]
+
+    @property
+    def scenario_probs(self) -> np.ndarray:
+        if self.probs is not None:
+            return self.probs
+        count = self.rows.shape[0]
+        return np.full(count, 1.0 / count)
+
+
+@dataclass(frozen=True)
+class PortfolioSpec:
+    """Column weights defining the portfolio value per scenario."""
+
+    weights: dict[str, float]
+
+    def __post_init__(self) -> None:
+        if not self.weights:
+            raise EmptyInput("portfolio needs at least one column weight")
+        clean = {str(k): float(v) for k, v in self.weights.items()}
+        if not all(math.isfinite(w) for w in clean.values()):
+            raise OutOfRange("portfolio weights must be finite")
+        if not any(w != 0.0 for w in clean.values()):
+            raise AllZeroWeights("portfolio weights are all zero")
+        object.__setattr__(self, "weights", clean)
+
+
+def portfolio_law(t: ScenarioTable, p: PortfolioSpec) -> EmpiricalDistribution:
+    """Per scenario, value = sum of weight_c * outcome_c, added in the
+    spec's column order from 0.0; then merge into a law."""
+    combo = np.zeros(t.rows.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # from_samples rejects inf/nan
+        for name, w in p.weights.items():
+            combo = combo + w * t.column(name)
+    return from_samples(np.column_stack([combo, t.scenario_probs]))

@@ -80,13 +80,20 @@ class CvarFeasibleFamily:
     [bounds[i], bounds[i+1]) the member is Q_a = flat[i] + tail[i]/(1-a).
 
     ``bounds`` is a float array of length M+1; ``flat`` and ``tail`` are
-    M x m float arrays, one row per segment and one column per atom.
-    Feasibility is checked against a distribution by :func:`mixture_density`.
+    M x m float arrays, one row per segment and one column per atom. The
+    family keeps read-only copies, each in its given memory order. Feasibility
+    is checked against a distribution by :func:`mixture_density`.
     """
 
     bounds: np.ndarray
     flat: np.ndarray
     tail: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("bounds", "flat", "tail"):
+            arr = np.array(getattr(self, name), dtype=float, order="K")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_constant_densities(cls, breakpoints, densities) -> "CvarFeasibleFamily":

@@ -30,6 +30,7 @@ import numpy as np
 from .dist import (
     EmpiricalDistribution,
     SeededSampler,
+    _integer,
     _sum,
     _unit_interval,
     affine,
@@ -59,10 +60,7 @@ class CopyCount:
     n: int
 
     def __post_init__(self) -> None:
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise OutOfRange(f"copy count must be an integer >= 1, got {n!r}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _integer(self.n, "copy count", 1))
 
 
 @dataclass(frozen=True)
@@ -89,15 +87,9 @@ class QuadratureRule:
     points_per_panel: int = 16
 
     def __post_init__(self) -> None:
-        for name, lo, hi in (("panels", 1, math.inf), ("points_per_panel", 2, 64)):
-            raw = getattr(self, name)
-            if (
-                isinstance(raw, bool)
-                or not isinstance(raw, (int, np.integer))
-                or not lo <= raw <= hi
-            ):
-                raise OutOfRange(f"{name} must be an integer in {lo}..{hi}, got {raw!r}")
-            object.__setattr__(self, name, int(raw))
+        object.__setattr__(self, "panels", _integer(self.panels, "panels", 1))
+        points = _integer(self.points_per_panel, "points_per_panel", 2, 64)
+        object.__setattr__(self, "points_per_panel", points)
 
 
 def _alpha_value(a) -> float:
@@ -117,9 +109,10 @@ def _mixture_copy_count(nc) -> int:
 
 
 def _trial_count(trials) -> int:
-    if int(trials) < 2:
+    trials = _integer(trials, "trials")
+    if trials < 2:
         raise BudgetTooSmall("need at least 2 trials for a standard error")
-    return int(trials)
+    return trials
 
 
 def _var_index(d: EmpiricalDistribution, alpha):

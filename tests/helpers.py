@@ -22,13 +22,14 @@ from maxvar import (
     ParseError,
     ProbSumMismatch,
     QuadratureRule,
+    ScenarioTable,
     SeededSampler,
     expectation,
     from_samples,
     quadrature_breakpoints,
     sample,
 )
-from maxvar.cli import PROB_COLUMN, ScenarioTable
+from maxvar.cli import PROB_COLUMN
 from maxvar.envelope import _CORE_TOL, _upper_set_violations
 from maxvar.measures import _copy_count, _var_index, _weight_cdf_arr, _weight_over_tail_arr
 

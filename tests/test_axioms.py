@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from maxvar import (
     BudgetTooSmall,
     DimensionMismatch,
+    EmptyInput,
     OutOfRange,
-    PairedScenarios,
     PreconditionViolated,
+    ScenarioTable,
+    UnknownColumn,
     check_averseness,
     check_constant,
     check_l2_continuity,
@@ -15,9 +19,10 @@ from maxvar import (
     check_subadditivity,
     check_translation,
     from_samples,
+    portfolio_law,
     run_suite,
 )
-from maxvar import measures
+from maxvar import axioms, measures
 from maxvar.axioms import _check_beta_star
 
 from helpers import bernoulli_half, d4
@@ -26,23 +31,37 @@ D4_VALUES = [1.0, 2.0, 3.0, 4.0]
 
 
 def paired(x, y, weights=None):
-    return PairedScenarios.from_weights(np.asarray(x, float), np.asarray(y, float), weights)
+    """Positions x and y on common scenarios, weighted (uniform when omitted)."""
+    probs = None if weights is None else np.asarray(weights, float) / math.fsum(weights)
+    return ScenarioTable(("x", "y"), np.column_stack([x, y]), probs)
 
 
 class TestPairedScenarios:
+    """A joint law of (X, Y) is a table with columns x and y; each law the
+    two-variable checks read comes from portfolio_law."""
+
     def test_marginals_and_sum(self):
-        p = paired(D4_VALUES, [-v for v in D4_VALUES])
-        assert p.marginal_x().values.tolist() == D4_VALUES
-        assert p.marginal_y().values.tolist() == [-4.0, -3.0, -2.0, -1.0]
-        assert p.sum_law().values.tolist() == [0.0]
+        t = paired(D4_VALUES, [-v for v in D4_VALUES])
+        assert portfolio_law(t, axioms.X).values.tolist() == D4_VALUES
+        assert portfolio_law(t, axioms.Y).values.tolist() == [-4.0, -3.0, -2.0, -1.0]
+        assert portfolio_law(t, axioms.X_PLUS_Y).values.tolist() == [0.0]
+        for lam, mix in axioms.MIXES:
+            want = sorted({lam * x + (1.0 - lam) * -x for x in D4_VALUES})
+            assert portfolio_law(t, mix).values.tolist() == want
 
     def test_validation(self):
+        # a probability vector of the wrong length
         with pytest.raises(DimensionMismatch):
-            PairedScenarios(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]))
+            ScenarioTable(("x", "y"), [[1.0, 1.0]], [0.5, 0.5])
         with pytest.raises(OutOfRange):
-            PairedScenarios(np.array([1.0]), np.array([1.0]), np.array([0.0]))
+            ScenarioTable(("x", "y"), [[1.0, 1.0]], [0.0])
         with pytest.raises(OutOfRange):
-            PairedScenarios(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.6, 0.6]))
+            ScenarioTable(("x", "y"), [[1.0, 1.0], [2.0, 2.0]], [0.6, 0.6])
+        with pytest.raises(EmptyInput):
+            ScenarioTable(("x", "y"), np.empty((0, 2)))
+        # a table without a y column
+        with pytest.raises(UnknownColumn):
+            check_subadditivity(ScenarioTable(("x",), [[1.0]]), 2)
 
 
 class TestConstancy:
@@ -211,6 +230,15 @@ class TestSuite:
     def test_budget(self):
         with pytest.raises(BudgetTooSmall):
             run_suite(seed=1, trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, True, "7", None])
+    def test_non_integer_trials_rejected(self, trials):
+        # not truncated: 2.5 used to run 2 trials and True 1
+        with pytest.raises(OutOfRange):
+            run_suite(seed=1, trials=trials)
+
+    def test_numpy_integer_trials(self):
+        assert run_suite(seed=1, trials=np.int64(2)).to_json() == run_suite(1, 2).to_json()
 
     def test_pass_flag_matches_tolerance(self):
         report = run_suite(seed=3, trials=5)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from maxvar import (
     AllZeroWeights,
+    DimensionMismatch,
     DiscreteMixtureSpec,
     EmpiricalDistribution,
     EmptyInput,
@@ -19,21 +20,22 @@ from maxvar import (
     NegativeProb,
     NonFiniteValue,
     OutOfRange,
-    PairedScenarios,
     ParseError,
+    PortfolioSpec,
     ProbSumMismatch,
+    ScenarioTable,
     UnknownColumn,
+    axioms,
+    portfolio_law,
 )
 from maxvar.cli import (
     PROB_COLUMN,
-    PortfolioSpec,
     RiskQuery,
-    ScenarioTable,
     emit_curve,
     emit_envelope,
     emit_table,
     load_csv,
-    portfolio_law,
+    main,
     run_query,
     sample_data_path,
 )
@@ -212,6 +214,25 @@ class TestScenarioTable:
         with pytest.raises(NonFiniteValue):
             ScenarioTable(("a",), [[math.inf], [2.0]])
 
+    def test_shape_errors_are_library_errors(self):
+        # the library's shape errors, not ParseError: no CSV is involved
+        with pytest.raises(DimensionMismatch):
+            ScenarioTable(("a", "b"), [[1.0], [2.0]])  # row width
+        with pytest.raises(DimensionMismatch):
+            ScenarioTable(("a",), [1.0, 2.0])  # not 2-d
+        with pytest.raises(DimensionMismatch):
+            ScenarioTable(("a",), [[1.0], [2.0]], [1.0])  # one probability short
+        with pytest.raises(EmptyInput):
+            ScenarioTable(("a",), np.empty((0, 1)))
+
+    def test_read_only_copies(self):
+        rows, probs = np.array([[1.0], [2.0]]), np.array([0.25, 0.75])
+        t = ScenarioTable(("a",), rows, probs)
+        rows[0, 0], probs[0] = 9.0, 0.5
+        assert t.rows.tolist() == [[1.0], [2.0]] and t.probs.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            t.rows[0, 0] = 9.0
+
 
 def _csv_probs(tmp_path, probs):
     rows = "".join(f"{i},{p!r}\n" for i, p in enumerate(probs))
@@ -222,7 +243,9 @@ def _csv_probs(tmp_path, probs):
 PROB_ENTRY_POINTS = {
     "EmpiricalDistribution": lambda tmp, p: EmpiricalDistribution([1.0, 2.0], p),
     "ScenarioTable": lambda tmp, p: ScenarioTable(("x",), [[1.0], [2.0]], p),
-    "PairedScenarios": lambda tmp, p: PairedScenarios([1.0, 2.0], [2.0, 1.0], p),
+    "portfolio_law": lambda tmp, p: portfolio_law(
+        ScenarioTable(("x", "y"), [[1.0, 2.0], [2.0, 1.0]], p), axioms.X_PLUS_Y
+    ).probs,
     "DiscreteMixtureSpec": lambda tmp, p: DiscreteMixtureSpec(tuple((w, 0.5) for w in p)),
     "load_csv": _csv_probs,
 }
@@ -483,6 +506,16 @@ class TestCliExitCodes:
         mc = ["maxvar", "--column", "loss", "--n", "2", "--method", "mc", "--seed", "1"]
         assert run_cli(*mc, "--trials", "1").returncode == 1
         assert run_cli("verify", "--n", "0").returncode == 1  # before the suite runs
+        # a quadrature point count below 2 (0 used to run with 16 points)
+        quad = ["maxvar", "--column", "loss", "--n", "2", "--method", "mixture-quad"]
+        assert run_cli(*quad, "--panels", "5", "--points", "0").returncode == 1
+
+    def test_quadrature_points_default_only_when_not_given(self, capsys):
+        quad = ["maxvar", "--column", "loss", "--n", "2", "--method", "mixture-quad"]
+        for extra, points in (([], 16), (["--points", "8"], 8)):
+            assert main([*quad, "--panels", "5", *extra]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["params"]["panels"] == 5 and doc["params"]["points"] == points
 
     def test_missing_input_exits_two(self, tmp_path):
         result = run_cli(
@@ -562,6 +595,26 @@ def test_library_import_does_not_load_the_cli():
         "import maxvar, sys; "
         "assert 'maxvar.cli' not in sys.modules and 'argparse' not in sys.modules; "
         "import maxvar.cli; assert maxvar.load_csv is maxvar.cli.load_csv"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_library_exports_scenario_tables_without_the_cli():
+    # ScenarioTable, PortfolioSpec and portfolio_law are library names; only
+    # load_csv and emit_envelope still resolve lazily through maxvar.cli
+    code = (
+        "import maxvar, sys; "
+        "t = maxvar.ScenarioTable(('a',), [[1.0], [3.0]]); "
+        "law = maxvar.portfolio_law(t, maxvar.PortfolioSpec({'a': 2.0})); "
+        "assert law.values.tolist() == [2.0, 6.0]; "
+        "dropped = ('RiskQuery', 'cmd_verify', 'emit_curve', 'emit_table', "
+        "'run_query', 'sample_data_path'); "
+        "assert not any(hasattr(maxvar, name) for name in dropped); "
+        "assert 'maxvar.cli' not in sys.modules and 'argparse' not in sys.modules; "
+        "import maxvar.cli as cli; "
+        "assert maxvar.emit_envelope is cli.emit_envelope and maxvar.load_csv is cli.load_csv; "
+        "assert cli.portfolio_law is maxvar.portfolio_law"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

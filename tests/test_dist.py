@@ -216,6 +216,16 @@ class TestSampler:
         with pytest.raises(OutOfRange):
             sample(d4(), SeededSampler(1), -1)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "3"])
+    def test_non_integer_count_rejected(self, count):
+        # not truncated: 2.5 used to draw 2 values
+        with pytest.raises(OutOfRange):
+            SeededSampler(1).uniforms(count)
+
+    def test_numpy_integer_count(self):
+        got = SeededSampler(1).uniforms(np.int64(3))
+        assert got.tolist() == SeededSampler(1).uniforms(3).tolist()
+
     @settings(max_examples=25, deadline=None)
     @given(small_laws())
     def test_empirical_cdf_within_dkw_band(self, d):

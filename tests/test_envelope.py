@@ -325,6 +325,20 @@ class TestFamilyArrays:
         )
         assert _outcome(lambda: mixture_density(d, n, fortran)) == want
 
+    def test_family_owns_read_only_copies(self):
+        bounds, density = np.array([0.0, 0.5, 1.0]), np.ones(4)
+        fam = CvarFeasibleFamily.from_constant_densities(bounds, [density, density])
+        assert fam.bounds is not bounds
+        bounds[1], density[0] = 0.25, 2.0  # the caller's arrays stay the caller's
+        assert fam.bounds.tolist() == [0.0, 0.5, 1.0] and fam.flat[0, 0] == 1.0
+        for arr in (fam.bounds, fam.flat, fam.tail):
+            with pytest.raises(ValueError):
+                arr[0] = 3.0
+        # each array keeps its memory order
+        fortran = CvarFeasibleFamily(fam.bounds, np.asfortranarray(fam.flat), fam.tail)
+        assert fortran.flat.flags.f_contiguous and not fortran.flat.flags.c_contiguous
+        assert fortran.tail.flags.c_contiguous
+
     @given(small_laws(max_atoms=40, min_weight_exp=-20.0), st.integers(1, 12))
     def test_cvar_extremal_matches_per_segment_reference(self, d, n):
         fam = CvarFeasibleFamily.cvar_extremal(d)

@@ -395,6 +395,17 @@ class TestMonteCarlo:
         with pytest.raises(BudgetTooSmall):
             maxvar_mc(d4(), 2, 1, SeededSampler(1))
 
+    @pytest.mark.parametrize("trials", [2.9, 2.0, True, "7", None])
+    def test_non_integer_trials_rejected(self, trials):
+        # not truncated: 2.9 used to run 2 trials, and "7" was accepted
+        with pytest.raises(OutOfRange):
+            maxvar_mc(d4(), 2, trials, SeededSampler(1))
+
+    def test_numpy_integer_trials(self):
+        est = maxvar_mc(d4(), 2, np.int64(50), SeededSampler(1))
+        assert est.trials == 50 and type(est.trials) is int
+        assert est == maxvar_mc(d4(), 2, 50, SeededSampler(1))
+
 
 class TestMinvar:
     def test_examples(self):
