@@ -16,7 +16,8 @@ import codecs
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -55,11 +56,10 @@ from .measures import (
     var,
 )
 
-MEASURES = ("var", "cvar", "maxvar", "minvar")
-
 
 def _route_quad(law, q):
-    rule = q.quadrature or suggest_rule(law)
+    points = () if q.points is None else (q.points,)  # else QuadratureRule's default
+    rule = suggest_rule(law) if q.panels is None else QuadratureRule(q.panels, *points)
     value = maxvar_mixture_quad(law, q.n, rule)
     return value, {"panels": rule.panels, "points": rule.points_per_panel}, {}
 
@@ -69,9 +69,10 @@ def _route_mc(law, q):
     return est.estimate, {}, {"std_error": est.std_error}
 
 
-# MAXVAR routes by --method: each maps (law, query) to (value, extra params,
-# extra result fields). The maxvar_* names are looked up at call time, so a
-# rebinding of this module's globals (as perfbench's tracer does) is seen.
+# MAXVAR routes by --method: each maps (law, options) to (value, extra
+# params, extra result fields). The maxvar_* names are looked up at call
+# time, so a rebinding of this module's globals (as perfbench's tracer
+# does) is seen; so are the names the MEASURES and COMMANDS tables call.
 ROUTES = {
     "choquet": lambda law, q: (maxvar_choquet(law, q.n), {}, {}),
     "mixture-exact": lambda law, q: (maxvar_mixture_exact(law, q.n), {}, {}),
@@ -79,7 +80,25 @@ ROUTES = {
     "mc": _route_mc,
     "spectral": lambda law, q: (maxvar_spectral(law, q.n), {}, {}),
 }
-METHODS = tuple(ROUTES)
+
+
+def _cvar(law, q):
+    res = cvar_min(law, q.alpha)
+    return res.value, {}, {"beta_star": res.beta_star}
+
+
+def _minvar(law, q):  # minvar_n(X) = -maxvar_n(-X)
+    value, params, fields = ROUTES[q.method](affine(law, -1.0, 0.0), q)
+    return -value, params, fields
+
+
+# The measure subcommands, in the same form as ROUTES.
+MEASURES = {
+    "var": lambda law, q: (var(law, q.alpha), {}, {}),
+    "cvar": _cvar,
+    "maxvar": lambda law, q: ROUTES[q.method](law, q),
+    "minvar": _minvar,
+}
 
 PROB_COLUMN = "prob"
 # Decimal CSV probabilities this close to summing to 1 are renormalized.
@@ -89,46 +108,6 @@ _CSV_PROB_SUM_TOL = 1e-9
 def sample_data_path() -> Path:
     """Path of the bundled sample scenario CSV."""
     return Path(str(resources.files("maxvar").joinpath("data/sample_scenarios.csv")))
-
-
-@dataclass(frozen=True)
-class RiskQuery:
-    """A measure selection plus its parameters; invariants checked eagerly."""
-
-    measure: str
-    alpha: float | None = None
-    n: int | None = None
-    method: str | None = None
-    trials: int | None = None
-    seed: int | None = None
-    quadrature: QuadratureRule | None = None
-
-    def __post_init__(self) -> None:
-        if self.measure not in MEASURES:
-            raise OutOfRange(f"measure must be one of {MEASURES}, got {self.measure!r}")
-        tail_measure = self.measure in ("var", "cvar")
-        if tail_measure != (self.alpha is not None):
-            raise OutOfRange("alpha is required exactly for var/cvar queries")
-        if (self.measure in ("maxvar", "minvar")) != (self.n is not None):
-            raise OutOfRange("n is required exactly for maxvar/minvar queries")
-        method = self.method
-        if tail_measure:
-            RiskLevel(self.alpha)
-            if method is not None:
-                raise OutOfRange("var/cvar queries take no method")
-        else:
-            CopyCount(self.n)
-            method = method or "choquet"
-            if method not in METHODS:
-                raise OutOfRange(f"method must be one of {METHODS}, got {method!r}")
-            object.__setattr__(self, "method", method)
-        mc = method == "mc"
-        if mc != (self.trials is not None) or mc != (self.seed is not None):
-            raise OutOfRange("trials and seed are required exactly for method=mc")
-        if mc:
-            _trial_count(self.trials)
-        if self.quadrature is not None and method != "mixture-quad":
-            raise OutOfRange("a quadrature rule only applies to method=mixture-quad")
 
 
 def _convert_cells(widths: list[int], cells: list[str], width: int) -> np.ndarray | None:
@@ -231,25 +210,16 @@ def load_csv(path) -> ScenarioTable:
     return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)
 
 
-def run_query(t: ScenarioTable, p: PortfolioSpec, q: RiskQuery) -> dict:
-    """Evaluate one query; returns the result document (insertion-ordered)."""
+def run_query(t: ScenarioTable, p: PortfolioSpec, q) -> dict:
+    """Evaluate one query; ``q`` holds a measure subcommand's parsed options,
+    with ``q.command`` naming the measure. Returns the result document
+    (insertion-ordered)."""
     law = portfolio_law(t, p)
-    extra_params: dict = {}
-    extra_fields: dict = {}
-    if q.measure == "var":
-        value = var(law, q.alpha)
-    elif q.measure == "cvar":
-        res = cvar_min(law, q.alpha)
-        value, extra_fields = res.value, {"beta_star": res.beta_star}
-    else:
-        target = law if q.measure == "maxvar" else affine(law, -1.0, 0.0)
-        value, extra_params, extra_fields = ROUTES[q.method](target, q)
-        if q.measure == "minvar":  # minvar_n(X) = -maxvar_n(-X)
-            value = -value
+    value, extra_params, extra_fields = MEASURES[q.command](law, q)
     fields = ("alpha", "n", "method", "trials", "seed")
-    params = {f: v for f in fields if (v := getattr(q, f)) is not None}
+    params = {f: v for f in fields if (v := getattr(q, f, None)) is not None}
     return {
-        "measure": q.measure,
+        "measure": q.command,
         "params": {**params, **extra_params},
         "value": value,
         **extra_fields,
@@ -259,16 +229,6 @@ def run_query(t: ScenarioTable, p: PortfolioSpec, q: RiskQuery) -> dict:
 
 def _csv_lines(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
-
-
-def emit_table(t: ScenarioTable) -> str:
-    """Table back to CSV with 17-digit numbers (bit-exact round trip)."""
-    columns = list(t.columns)
-    data = list(t.rows.T)
-    if t.probs is not None:
-        columns.append(PROB_COLUMN)
-        data.append(t.probs)
-    return _csv_lines(",".join(columns), format_rows(*data))
 
 
 def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
@@ -339,138 +299,171 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _option(parse, check):
+    """A ``type=`` converter: ``check``, the library type that owns the rule,
+    validates the value ``parse`` reads; its RiskError is a usage error."""
+
+    def convert(text: str):
+        return check(parse(text))
+
+    convert.__name__ = parse.__name__  # for argparse's "invalid <parse> value"
+    return convert
+
+
+def _weights(text: str) -> dict[str, float]:
+    """``a=0.5,b=0.5`` as {name: weight}; no name is blank or repeated."""
+    weights = {}
+    for piece in text.split(","):
+        name, _, raw = piece.partition("=")
+        name = name.strip()
+        if not name or not raw:
+            raise _UsageError(f"bad --weights entry {piece!r}; use name=value")
+        if name in weights:
+            raise _UsageError(f"column {name!r} repeated in --weights entry {piece!r}")
+        try:
+            weights[name] = float(raw)
+        except ValueError:
+            raise _UsageError(f"bad weight value in {piece!r}") from None
+    return weights
+
+
+_level = _option(float, lambda a: RiskLevel(a).alpha)
+_count = _option(int, lambda n: CopyCount(n).n)
+
+
+def _grid(text: str, integral: bool) -> list:
+    """``curve``'s --alpha levels or --n copy counts, comma-separated (or
+    lo:hi for n), each checked by RiskLevel or CopyCount. A range's list is
+    allocated in one piece, so a range too long to hold fails at once."""
+    lo, colon, hi = text.partition(":")
+    try:
+        if integral and colon:
+            grid = list(range(_count(lo), _count(hi) + 1))
+        else:
+            grid = [(_count if integral else _level)(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise _UsageError(f"cannot parse grid {text!r}") from None
+    except (MemoryError, OverflowError):
+        raise OutOfRange(f"the n range {text} is too long to hold") from None
+    if not grid:
+        raise _UsageError("the --alpha or --n grid is empty")
+    return grid
+
+
+def _check_route(args) -> None:
+    """The rules across the route options of maxvar and minvar."""
+    mc = args.method == "mc"
+    if mc != (args.trials is not None) or mc != (args.seed is not None):
+        raise _UsageError("--trials and --seed are required exactly for --method mc")
+    if args.points is not None and args.panels is None:
+        raise _UsageError("--points requires --panels")
+    if args.panels is not None and args.method != "mixture-quad":
+        raise _UsageError("a quadrature rule only applies to --method mixture-quad")
+
+
+def _opt(*flags, **kwargs):
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+def _one_of(*options):  # a required choice of exactly one of these options
+    def add(parser):
+        group = parser.add_mutually_exclusive_group(required=True)
+        for option in options:
+            option(group)
+    return add
+
+
+_PORTFOLIO = _one_of(  # either gives a PortfolioSpec, as args.portfolio
+    _opt("--column", dest="portfolio", metavar="COLUMN", help="single-column portfolio shorthand",
+         type=_option(str, lambda name: PortfolioSpec({name: 1.0}))),
+    _opt("--weights", dest="portfolio", metavar="WEIGHTS", help='e.g. "a=0.5,b=0.5"',
+         type=_option(_weights, PortfolioSpec)),
+)
+_N = _opt("--n", required=True, type=_count)
+_TAIL_OPTIONS = (_PORTFOLIO, _opt("--alpha", required=True, type=_level))
+_ROUTE_OPTIONS = (
+    _PORTFOLIO, _N,
+    _opt("--method", default="choquet", choices=tuple(ROUTES)),
+    _opt("--trials", type=_option(int, _trial_count)),
+    _opt("--seed", type=int),
+    _opt("--panels", type=_option(int, lambda k: QuadratureRule(k).panels)),
+    _opt("--points", type=_option(int, lambda k: QuadratureRule(1, k).points_per_panel)),
+)
+
+
+def _table(args) -> ScenarioTable:
+    return load_csv(args.input or sample_data_path())
+
+
+def _query(args) -> tuple[str, int]:
+    return render_json(run_query(_table(args), args.portfolio, args)), 0
+
+
+def _verify(args) -> tuple[str, int]:
+    doc, code = cmd_verify(args.input or sample_data_path(), args.n, args.seed, args.trials)
+    return render_json(doc), code
+
+
+# A subcommand: its help, its options besides --input and --output (each
+# adds itself to a parser), its runner, from parsed options to (output
+# text, exit code), and the check across its options, run before any file
+# is read.
+Command = namedtuple("Command", "help options run check", defaults=(None,))
+
+
+COMMANDS = {
+    "var": Command("value-at-risk", _TAIL_OPTIONS, _query),
+    "cvar": Command("conditional value-at-risk", _TAIL_OPTIONS, _query),
+    "maxvar": Command("expected max of n i.i.d. copies", _ROUTE_OPTIONS, _query, _check_route),
+    "minvar": Command("expected min of n i.i.d. copies", _ROUTE_OPTIONS, _query, _check_route),
+    "envelope": Command(
+        "extremal dual density as CSV", (_PORTFOLIO, _N),
+        lambda args: (emit_envelope(_table(args), args.portfolio, args.n), 0),
+    ),
+    "curve": Command(
+        "risk profile CSV over a parameter grid",
+        (_PORTFOLIO, _one_of(
+            _opt("--alpha", type=lambda text: _grid(text, False), help="comma-separated CVaR levels"),
+            _opt("--n", type=lambda text: _grid(text, True), help="maxvar copy counts, e.g. 1:3 or 1,2,3"),
+        )),
+        lambda args: (emit_curve(_table(args), args.portfolio, args.alpha, args.n), 0),
+    ),
+    "verify": Command(
+        "run the verification suite",
+        (
+            _opt("--n", type=_count, default=2),
+            _opt("--seed", type=int, default=42),
+            _opt("--trials", type=int, default=100),
+        ),
+        _verify,
+    ),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="maxvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, alpha=False, n=False, methods=False):
-        sp.add_argument("--input", required=False, help="scenario CSV path")
-        group = sp.add_mutually_exclusive_group(required=True)
-        group.add_argument("--column", help="single-column portfolio shorthand")
-        group.add_argument("--weights", help='e.g. "a=0.5,b=0.5"')
-        if alpha:
-            sp.add_argument("--alpha", required=True, type=float)
-        if n:
-            sp.add_argument("--n", required=True, type=int)
-        if methods:
-            sp.add_argument("--method", default="choquet", choices=METHODS)
-            sp.add_argument("--trials", type=int)
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--panels", type=int)
-            sp.add_argument("--points", type=int)
-        sp.add_argument("--output", help="write here instead of stdout")
-
-    common(sub.add_parser("var", help="value-at-risk"), alpha=True)
-    common(sub.add_parser("cvar", help="conditional value-at-risk"), alpha=True)
-    common(sub.add_parser("maxvar", help="expected max of n i.i.d. copies"), n=True, methods=True)
-    common(sub.add_parser("minvar", help="expected min of n i.i.d. copies"), n=True, methods=True)
-    common(sub.add_parser("envelope", help="extremal dual density as CSV"), n=True)
-
-    curve = sub.add_parser("curve", help="risk profile CSV over a parameter grid")
-    common(curve)
-    curve.add_argument("--alpha", help="comma-separated CVaR levels")
-    curve.add_argument("--n", help="maxvar copy counts, e.g. 1:3 or 1,2,3")
-
-    verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--input", help="scenario CSV (defaults to the bundled sample)")
-    verify.add_argument("--n", type=int, default=2)
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--output", help="write here instead of stdout")
+    for name, command in COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        subparser.add_argument("--input", help="scenario CSV (defaults to the bundled sample)")
+        for add in command.options:
+            add(subparser)
+        subparser.add_argument("--output", help="write here instead of stdout")
     return parser
 
 
-def _portfolio_from_args(args) -> PortfolioSpec:
-    if getattr(args, "column", None):
-        return PortfolioSpec({args.column: 1.0})
-    weights = {}
-    for piece in args.weights.split(","):
-        name, _, raw = piece.partition("=")
-        if not name or not raw:
-            raise _UsageError(f"bad --weights entry {piece!r}; use name=value")
-        try:
-            weights[name.strip()] = float(raw)
-        except ValueError:
-            raise _UsageError(f"bad weight value in {piece!r}") from None
-    return PortfolioSpec(weights)
-
-
-def _parse_grid(raw: str, integral: bool):
-    try:
-        if ":" in raw and integral:
-            lo, _, hi = raw.partition(":")
-            return list(range(int(lo), int(hi) + 1))
-        items = [piece for piece in raw.split(",") if piece.strip()]
-        return [int(x) if integral else float(x) for x in items]
-    except ValueError:
-        raise _UsageError(f"cannot parse grid {raw!r}") from None
-
-
-def _build_request(args):
-    """Everything that can fail as a usage error happens here."""
-    if args.command == "verify":
-        CopyCount(args.n)
-        return None
-    portfolio = _portfolio_from_args(args)
-    if args.command == "envelope":
-        return portfolio, CopyCount(args.n).n
-    if args.command == "curve":
-        if (args.alpha is None) == (args.n is None):
-            raise _UsageError("curve needs exactly one of --alpha or --n")
-        if args.alpha is not None:
-            grid = [RiskLevel(a).alpha for a in _parse_grid(args.alpha, integral=False)]
-        else:
-            grid = [CopyCount(n).n for n in _parse_grid(args.n, integral=True)]
-        if not grid:
-            raise _UsageError("the --alpha or --n grid is empty")
-        return portfolio, grid
-    if args.command in ("var", "cvar"):
-        query = RiskQuery(measure=args.command, alpha=args.alpha)
-    else:
-        rule = None
-        if args.panels is not None or args.points is not None:
-            if args.panels is None:
-                raise _UsageError("--points requires --panels")
-            points = {} if args.points is None else {"points_per_panel": args.points}
-            rule = QuadratureRule(panels=args.panels, **points)
-        query = RiskQuery(
-            measure=args.command,
-            n=args.n,
-            method=args.method,
-            trials=args.trials,
-            seed=args.seed,
-            quadrature=rule,
-        )
-    return portfolio, query
-
-
-def _execute(args, request) -> tuple[str, int]:
-    if args.command == "verify":
-        path = args.input or sample_data_path()
-        doc, code = cmd_verify(path, args.n, args.seed, args.trials)
-        return render_json(doc), code
-    table = load_csv(args.input or sample_data_path())
-    portfolio, payload = request
-    if args.command == "envelope":
-        return emit_envelope(table, portfolio, payload), 0
-    if args.command == "curve":
-        if args.alpha is not None:
-            return emit_curve(table, portfolio, alphas=payload), 0
-        return emit_curve(table, portfolio, ns=payload), 0
-    return render_json(run_query(table, portfolio, payload)), 0
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        request = _build_request(args)
-    except (_UsageError, RiskError) as exc:
+        args = _build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
+        if command.check is not None:
+            command.check(args)
+    except (_UsageError, RiskError) as exc:  # from a converter or check: no file read yet
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        text, code = _execute(args, request)
-        if getattr(args, "output", None):
+        text, code = command.run(args)
+        if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)

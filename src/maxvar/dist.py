@@ -231,10 +231,6 @@ class SeededSampler:
         """The underlying generator, for structured draws in test harnesses."""
         return self._gen
 
-    def substream(self, stream_id: int) -> "SeededSampler":
-        """A fresh independent stream under the same seed."""
-        return SeededSampler(self.seed, stream_id)
-
 
 def from_samples(raw) -> EmpiricalDistribution:
     """Build a law from (value, weight) pairs.
@@ -331,6 +327,8 @@ class ScenarioTable:
     probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if len(set(self.columns)) != len(self.columns):
+            raise OutOfRange(f"column names must be distinct, got {tuple(self.columns)!r}")
         rows = np.asarray(self.rows, dtype=float).copy()
         if rows.ndim != 2 or rows.shape[1] != len(self.columns):
             raise DimensionMismatch("rows must be 2-d with one column per name")

@@ -29,6 +29,7 @@ from maxvar import (
     quadrature_breakpoints,
     sample,
 )
+from maxvar._serialize import format_rows
 from maxvar.cli import PROB_COLUMN
 from maxvar.envelope import _CORE_TOL, _upper_set_violations
 from maxvar.measures import _copy_count, _var_index, _weight_cdf_arr, _weight_over_tail_arr
@@ -181,6 +182,16 @@ def load_csv_per_cell(path) -> ScenarioTable:
         if not header:
             raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
     return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)
+
+
+def emit_table(t: ScenarioTable) -> str:
+    """Table back to CSV with 17-digit numbers (bit-exact round trip)."""
+    columns = list(t.columns)
+    data = list(t.rows.T)
+    if t.probs is not None:
+        columns.append(PROB_COLUMN)
+        data.append(t.probs)
+    return "\n".join([",".join(columns), *format_rows(*data)]) + "\n"
 
 
 def cvar_extremal_segments(d: EmpiricalDistribution) -> list:

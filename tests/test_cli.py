@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,19 +29,17 @@ from maxvar import (
     axioms,
     portfolio_law,
 )
+import maxvar.cli
 from maxvar.cli import (
     PROB_COLUMN,
-    RiskQuery,
     emit_curve,
     emit_envelope,
-    emit_table,
     load_csv,
     main,
-    run_query,
     sample_data_path,
 )
 
-from helpers import load_csv_per_cell
+from helpers import emit_table, load_csv_per_cell
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,6 +224,13 @@ class TestScenarioTable:
         with pytest.raises(EmptyInput):
             ScenarioTable(("a",), np.empty((0, 1)))
 
+    def test_duplicate_column_names_rejected(self):
+        # column("x") would read only the first of the two
+        with pytest.raises(OutOfRange, match="distinct"):
+            ScenarioTable(("x", "x"), [[1.0, 2.0]])
+        with pytest.raises(OutOfRange):
+            ScenarioTable(["a", "b", "a"], [[1.0, 2.0, 3.0]])
+
     def test_read_only_copies(self):
         rows, probs = np.array([[1.0], [2.0]]), np.array([0.25, 0.75])
         t = ScenarioTable(("a",), rows, probs)
@@ -303,84 +309,81 @@ class TestPortfolio:
             PortfolioSpec({})
 
 
+def run_main(capsys, *args):
+    """``main(args)`` in process: (exit code, stdout, stderr)."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def query(capsys, *args) -> dict:
+    code, out, err = run_main(capsys, *args)
+    assert code == 0, err
+    return json.loads(out)
+
+
 class TestRiskQuery:
-    def test_alpha_required_iff_tail_measure(self):
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="var")
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="maxvar", n=2, alpha=0.5)
+    """Which options each measure subcommand takes, and how they combine."""
 
-    def test_n_required_iff_copy_measure(self):
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="maxvar")
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="cvar", alpha=0.5, n=2)
+    def test_alpha_required_iff_tail_measure(self, capsys):
+        assert run_main(capsys, "var", "--column", "loss")[0] == 1
+        assert run_main(capsys, "maxvar", "--column", "loss", "--n", "2", "--alpha", "0.5")[0] == 1
 
-    def test_mc_needs_trials_and_seed(self):
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="maxvar", n=2, method="mc")
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="maxvar", n=2, method="choquet", trials=10, seed=1)
+    def test_n_required_iff_copy_measure(self, capsys):
+        assert run_main(capsys, "maxvar", "--column", "loss")[0] == 1
+        assert run_main(capsys, "cvar", "--column", "loss", "--alpha", "0.5", "--n", "2")[0] == 1
 
-    def test_method_defaults_to_choquet(self):
-        assert RiskQuery(measure="maxvar", n=2).method == "choquet"
+    def test_mc_needs_trials_and_seed(self, capsys):
+        maxvar = ["maxvar", "--column", "loss", "--n", "2"]
+        assert run_main(capsys, *maxvar, "--method", "mc")[0] == 1
+        assert run_main(capsys, *maxvar, "--method", "mc", "--trials", "10")[0] == 1
+        assert run_main(capsys, *maxvar, "--method", "choquet", "--trials", "10", "--seed", "1")[0] == 1
+        assert run_main(capsys, *maxvar, "--seed", "1")[0] == 1
 
-    def test_unknown_measure_and_method(self):
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="expected-regret")
-        with pytest.raises(OutOfRange):
-            RiskQuery(measure="maxvar", n=2, method="bootstrap")
+    def test_method_defaults_to_choquet(self, capsys):
+        doc = query(capsys, "maxvar", "--column", "loss", "--n", "2")
+        assert doc["params"]["method"] == "choquet"
+
+    def test_unknown_measure_and_method(self, capsys):
+        assert run_main(capsys, "expected-regret", "--column", "loss")[0] == 1
+        assert run_main(capsys, "maxvar", "--column", "loss", "--n", "2", "--method", "bootstrap")[0] == 1
+
+
+MC_OPTIONS = ["--column", "loss", "--n", "2", "--method", "mc", "--trials", "200000", "--seed", "9"]
 
 
 class TestRunQuery:
-    def test_maxvar_document(self):
-        doc = run_query(
-            load_sample(), PortfolioSpec({"loss": 1.0}), RiskQuery(measure="maxvar", n=2)
-        )
+    """The JSON document of each measure subcommand."""
+
+    def test_maxvar_document(self, capsys):
+        doc = query(capsys, "maxvar", "--column", "loss", "--n", "2")
         assert doc["value"] == 3.125
         assert doc["params"] == {"n": 2, "method": "choquet"}
         assert doc["atoms_used"] == 4
 
-    def test_cvar_document(self):
-        doc = run_query(
-            load_sample(),
-            PortfolioSpec({"loss": 1.0}),
-            RiskQuery(measure="cvar", alpha=0.5),
-        )
+    def test_cvar_document(self, capsys):
+        doc = query(capsys, "cvar", "--column", "loss", "--alpha", "0.5")
         assert doc["value"] == 3.5
         assert doc["beta_star"] == 3.0
 
-    def test_var_document(self):
-        doc = run_query(
-            load_sample(), PortfolioSpec({"loss": 1.0}), RiskQuery(measure="var", alpha=0.0)
-        )
-        assert doc["value"] == 1.0
+    def test_var_document(self, capsys):
+        assert query(capsys, "var", "--column", "loss", "--alpha", "0")["value"] == 1.0
 
-    def test_every_method_agrees_on_sample(self):
-        table = load_sample()
-        spec = PortfolioSpec({"loss": 1.0})
-        values = {}
-        for method in ("choquet", "mixture-exact", "mixture-quad", "spectral"):
-            doc = run_query(table, spec, RiskQuery(measure="maxvar", n=4, method=method))
-            values[method] = doc["value"]
+    def test_every_method_agrees_on_sample(self, capsys):
+        values = {
+            method: query(capsys, "maxvar", "--column", "loss", "--n", "4", "--method", method)["value"]
+            for method in ("choquet", "mixture-exact", "mixture-quad", "spectral")
+        }
         base = values["choquet"]
         for method, value in values.items():
             assert value == pytest.approx(base, abs=1e-8), method
 
-    def test_mc_method_reports_std_error(self):
-        doc = run_query(
-            load_sample(),
-            PortfolioSpec({"loss": 1.0}),
-            RiskQuery(measure="maxvar", n=2, method="mc", trials=200000, seed=9),
-        )
+    def test_mc_method_reports_std_error(self, capsys):
+        doc = query(capsys, "maxvar", *MC_OPTIONS)
         assert abs(doc["value"] - 3.125) <= 4 * doc["std_error"]
 
-    def test_minvar_mc(self):
-        doc = run_query(
-            load_sample(),
-            PortfolioSpec({"loss": 1.0}),
-            RiskQuery(measure="minvar", n=2, method="mc", trials=200000, seed=9),
-        )
+    def test_minvar_mc(self, capsys):
+        doc = query(capsys, "minvar", *MC_OPTIONS)
         assert abs(doc["value"] - 1.875) <= 4 * doc["std_error"]
 
 
@@ -457,6 +460,50 @@ class TestCliGolden:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+# Each is a usage error (exit 1). MAXVAR and MC prefix a maxvar query.
+MAXVAR = ["maxvar", "--column", "loss", "--n", "2"]
+MC = [*MAXVAR, "--method", "mc", "--seed", "1"]
+USAGE_ERRORS = {
+    "missing-n": ["maxvar", "--column", "loss"],
+    "unknown-subcommand": ["frobnicate"],
+    "mc-without-trials-and-seed": [*MAXVAR, "--method", "mc"],
+    "trials-and-seed-without-mc": [*MAXVAR, "--method", "choquet", "--trials", "10", "--seed", "1"],
+    "unknown-method": [*MAXVAR, "--method", "bootstrap"],
+    "curve-both-grids": ["curve", "--column", "loss", "--alpha", "0.5", "--n", "1:2"],
+    "curve-no-grid": ["curve", "--column", "loss"],
+    "n-not-a-number": ["maxvar", "--column", "loss", "--n", "junk"],
+    "alpha-not-a-number": ["var", "--column", "loss", "--alpha", "junk"],
+    "grid-not-a-number": ["curve", "--column", "loss", "--n", "1:junk"],
+    # grid entries outside the domain of n or alpha
+    "grid-n-0": ["curve", "--column", "loss", "--n", "0:3"],
+    "grid-alpha-1": ["curve", "--column", "loss", "--alpha", "0.5,1"],
+    "grid-alpha-negative": ["curve", "--column", "loss", "--alpha", "-0.1"],
+    "grid-empty-range": ["curve", "--column", "loss", "--n", "5:1"],
+    "grid-empty-list": ["curve", "--column", "loss", "--alpha", ","],
+    # single values outside the domain of n or alpha
+    "maxvar-n-0": ["maxvar", "--column", "loss", "--n", "0"],
+    "minvar-n-negative": ["minvar", "--column", "loss", "--n", "-1"],
+    "envelope-n-0": ["envelope", "--column", "loss", "--n", "0"],
+    "var-alpha-1.5": ["var", "--column", "loss", "--alpha", "1.5"],
+    "cvar-alpha-negative": ["cvar", "--column", "loss", "--alpha", "-0.1"],
+    "verify-n-0": ["verify", "--n", "0"],  # before the suite runs
+    # a Monte Carlo trial count too small for a standard error
+    "mc-one-trial": [*MC, "--trials", "1"],
+    # a quadrature point count below 2 (0 used to run with 16 points)
+    "quad-points-0": [*MAXVAR, "--method", "mixture-quad", "--panels", "5", "--points", "0"],
+    "points-without-panels": [*MAXVAR, "--method", "mixture-quad", "--points", "8"],
+    "panels-without-mixture-quad": [*MAXVAR, "--panels", "5"],
+    # --weights entries: malformed, blank or repeated names, bad or zero weights
+    "weights-no-value": ["maxvar", "--weights", "loss", "--n", "2"],
+    "weights-blank-name": ["maxvar", "--weights", " =1", "--n", "2"],
+    "weights-repeated-name": ["maxvar", "--weights", "loss=1,loss=2", "--n", "2"],
+    "weights-repeated-padded-name": ["maxvar", "--weights", "loss=1, loss =2", "--n", "2"],
+    "weights-bad-value": ["maxvar", "--weights", "loss=x", "--n", "2"],
+    "weights-all-zero": ["maxvar", "--weights", "loss=0", "--n", "2"],
+    "column-and-weights": ["maxvar", "--column", "loss", "--weights", "loss=1", "--n", "2"],
+}
+
+
 class TestCliExitCodes:
     def test_verify_clean_exits_zero(self):
         assert run_cli("verify", "--trials", "3").returncode == 0
@@ -476,39 +523,25 @@ class TestCliExitCodes:
         assert result.returncode == 2
         assert "row 3" in result.stderr
 
-    def test_usage_errors_exit_one(self):
-        assert run_cli("maxvar", "--column", "loss").returncode == 1  # missing --n
-        assert run_cli("frobnicate").returncode == 1  # unknown subcommand
-        assert (
-            run_cli("maxvar", "--column", "loss", "--n", "2", "--method", "mc").returncode
-            == 1
-        )  # mc without trials/seed
-        assert (
-            run_cli("curve", "--column", "loss", "--alpha", "0.5", "--n", "1:2").returncode
-            == 1
-        )  # both grids
-        assert run_cli("maxvar", "--column", "loss", "--n", "junk").returncode == 1
-        assert run_cli("var", "--column", "loss", "--alpha", "junk").returncode == 1
-        assert run_cli("curve", "--column", "loss", "--n", "1:junk").returncode == 1
-        # grid entries outside the domain of n or alpha
-        assert run_cli("curve", "--column", "loss", "--n", "0:3").returncode == 1
-        assert run_cli("curve", "--column", "loss", "--alpha", "0.5,1").returncode == 1
-        assert run_cli("curve", "--column", "loss", "--alpha", "-0.1").returncode == 1
-        assert run_cli("curve", "--column", "loss", "--n", "5:1").returncode == 1
-        assert run_cli("curve", "--column", "loss", "--alpha", ",").returncode == 1
-        # single values outside the domain of n or alpha
-        assert run_cli("maxvar", "--column", "loss", "--n", "0").returncode == 1
-        assert run_cli("minvar", "--column", "loss", "--n", "-1").returncode == 1
-        assert run_cli("envelope", "--column", "loss", "--n", "0").returncode == 1
-        assert run_cli("var", "--column", "loss", "--alpha", "1.5").returncode == 1
-        assert run_cli("cvar", "--column", "loss", "--alpha", "-0.1").returncode == 1
-        # a Monte Carlo trial count too small for a standard error
-        mc = ["maxvar", "--column", "loss", "--n", "2", "--method", "mc", "--seed", "1"]
-        assert run_cli(*mc, "--trials", "1").returncode == 1
-        assert run_cli("verify", "--n", "0").returncode == 1  # before the suite runs
-        # a quadrature point count below 2 (0 used to run with 16 points)
-        quad = ["maxvar", "--column", "loss", "--n", "2", "--method", "mixture-quad"]
-        assert run_cli(*quad, "--panels", "5", "--points", "0").returncode == 1
+    def test_usage_errors_exit_one(self, tmp_path):
+        # the real exit path; USAGE_ERRORS below holds the cases, run in process
+        absent = str(tmp_path / "absent.csv")
+        result = run_cli("maxvar", "--column", "loss", "--n", "0", "--input", absent)
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error: ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error(self, capsys, tmp_path, args):
+        # usage errors are found before --input is opened: it does not exist
+        code, out, err = run_main(capsys, *args, "--input", str(tmp_path / "absent.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+    def test_oversized_curve_range_fails_at_once(self, capsys):
+        # the range's list is refused in one allocation (8e15 bytes), never filled
+        code, _, err = run_main(capsys, "curve", "--column", "loss", "--n", "1:1000000000000000")
+        assert code == 1
+        assert err == "usage error: the n range 1:1000000000000000 is too long to hold\n"
 
     def test_quadrature_points_default_only_when_not_given(self, capsys):
         quad = ["maxvar", "--column", "loss", "--n", "2", "--method", "mixture-quad"]
@@ -588,6 +621,54 @@ class TestCliExitCodes:
         assert out.read_text(encoding="utf-8") == (GOLDEN / "maxvar.json").read_text(
             encoding="utf-8"
         )
+
+
+# Each subcommand's options, as its --help lists them.
+OPTIONS = {
+    "var": {"--input", "--column", "--weights", "--alpha", "--output"},
+    "cvar": {"--input", "--column", "--weights", "--alpha", "--output"},
+    "maxvar": {"--input", "--column", "--weights", "--n", "--method", "--trials", "--seed",
+               "--panels", "--points", "--output"},
+    "minvar": {"--input", "--column", "--weights", "--n", "--method", "--trials", "--seed",
+               "--panels", "--points", "--output"},
+    "envelope": {"--input", "--column", "--weights", "--n", "--output"},
+    "curve": {"--input", "--column", "--weights", "--output", "--alpha", "--n"},
+    "verify": {"--input", "--n", "--seed", "--trials", "--output"},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_each_option(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    help_text = capsys.readouterr().out
+    assert set(re.findall(r"^ +(--[a-z]+)", help_text, re.MULTILINE)) == OPTIONS[command]
+
+
+def test_commands_call_module_globals(monkeypatch, capsys, tmp_path):
+    # perfbench's tracer rebinds these maxvar.cli names; the command table
+    # must reach each one through the module when it runs, not at import
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_csv", "run_query", "emit_envelope", "emit_curve", "cmd_verify"):
+        monkeypatch.setattr(maxvar.cli, name, counted(name, getattr(maxvar.cli, name)))
+    out = str(tmp_path / "out")
+    for args, expected in (
+        (["maxvar", "--column", "loss", "--n", "2"], ["load_csv", "run_query"]),
+        (["envelope", "--column", "loss", "--n", "2"], ["load_csv", "emit_envelope"]),
+        (["curve", "--column", "loss", "--n", "1:2"], ["load_csv", "emit_curve"]),
+        (["verify", "--trials", "1"], ["cmd_verify", "load_csv"]),
+    ):
+        calls.clear()
+        assert main([*args, "--output", out]) == 0
+        assert calls == expected, args
 
 
 def test_library_import_does_not_load_the_cli():
