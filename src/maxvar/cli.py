@@ -18,6 +18,7 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -440,6 +441,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)  # built once per process; each parse_args gets a fresh namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="maxvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

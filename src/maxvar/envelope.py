@@ -227,10 +227,12 @@ def core_check(
     A = {Q >= threshold} (thresholds at distinct q values; tied atoms enter
     together) and E(Q) = 1 +- 1e-9. Reports the largest signed violation and
     the sets where equality holds within 1e-9, each as its atom values in
-    ascending order. Collecting them takes the sets themselves plus one
-    t x m boolean mask for t tight sets on m atoms: O(m^2) for the extremal
-    density, where every upper-level set is tight. Pass
-    ``collect_sets=False`` on large laws to skip them.
+    ascending order. A set whose atoms are an index range is a slice of one
+    shared tuple of the atom values, so it makes no new float; the extremal
+    density's q is nondecreasing in value (up to rounding on dust laws), so
+    its sets, all tight, are value suffixes: O(m^2) references in total.
+    Only the t tight sets that are not index ranges go through a t x m
+    boolean mask. Pass ``collect_sets=False`` on large laws to skip the sets.
     """
     n = _copy_count(nc)
     q = e.q
@@ -241,15 +243,30 @@ def core_check(
     violations, order, ends = _upper_set_violations(d, n, q)
     tight: list[tuple[float, ...]] = []
     if collect_sets:
-        # set j holds the atoms of rank <= j in the descending-q order; the
-        # values ascend, so a row of the mask lists its members in value order
+        # set j holds the atoms of rank <= j in the descending-q order; when
+        # their indices span exactly j + 1 they are an index range, and the
+        # values ascend with index, so the set is a slice of one shared tuple
         tight_ends = ends[np.abs(violations) <= _CORE_TOL]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        inside = rank <= tight_ends[:, None]
-        members = np.broadcast_to(d.values, inside.shape)[inside].tolist()
-        stops = np.cumsum(tight_ends + 1).tolist()
-        tight = [tuple(members[a:b]) for a, b in zip([0, *stops], stops)]
+        starts = np.minimum.accumulate(order)[tight_ends]
+        ranges = np.maximum.accumulate(order)[tight_ends] - starts == tight_ends
+        values = tuple(d.values.tolist())
+        tight = [
+            values[a:b] if r else ()
+            for a, b, r in zip(
+                starts.tolist(), (starts + tight_ends + 1).tolist(), ranges.tolist()
+            )
+        ]
+        scattered = np.flatnonzero(~ranges)
+        if len(scattered):
+            # the other sets come from a rank mask with one row per set; a
+            # row lists its members in value order
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            inside = rank <= tight_ends[scattered, None]
+            members = np.broadcast_to(d.values, inside.shape)[inside].tolist()
+            stops = np.cumsum(tight_ends[scattered] + 1).tolist()
+            for i, a, b in zip(scattered.tolist(), [0, *stops], stops):
+                tight[i] = tuple(members[a:b])
     mean_gap = _sum(q * d.probs) - 1.0
     max_violation = float(np.max(violations))
     passed = max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL

@@ -348,6 +348,32 @@ class TestRiskQuery:
         assert run_main(capsys, "expected-regret", "--column", "loss")[0] == 1
         assert run_main(capsys, "maxvar", "--column", "loss", "--n", "2", "--method", "bootstrap")[0] == 1
 
+    def test_one_parser_serves_many_calls(self, capsys):
+        # main reuses one parser per process; no option may leak from one
+        # call into the next, including from a call that fails part-way
+        calls = [
+            ("maxvar", "--column", "loss", "--n", "3", "--method", "mixture-quad",
+             "--panels", "40", "--points", "8"),
+            ("maxvar", "--column", "loss", "--n", "2", "--alpha", "0.5"),
+            ("maxvar", "--column", "loss", "--n", "2"),
+            ("minvar", "--column", "loss", "--n", "2", "--method", "mc", "--panels", "0"),
+            ("minvar", "--column", "loss", "--n", "2", "--method", "mc",
+             "--trials", "10", "--seed", "1"),
+            ("minvar", "--column", "loss", "--n", "2"),
+            ("curve", "--column", "loss", "--n", "1:3"),
+            ("curve", "--column", "loss", "--alpha", "0.5"),
+            ("envelope", "--column", "loss", "--n", "2"),
+            ("var", "--column", "loss", "--alpha", "0.25"),
+        ]
+        maxvar.cli._build_parser.cache_clear()
+        together = [run_main(capsys, *args) for args in calls]
+        alone = []
+        for args in calls:
+            maxvar.cli._build_parser.cache_clear()
+            alone.append(run_main(capsys, *args))
+        assert [code for code, _, _ in together] == [0, 1, 0, 1, 0, 0, 0, 0, 0, 0]
+        assert together == alone
+
 
 MC_OPTIONS = ["--column", "loss", "--n", "2", "--method", "mc", "--trials", "200000", "--seed", "9"]
 

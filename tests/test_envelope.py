@@ -140,11 +140,12 @@ class TestCoreCheck:
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.integers(1, 64))
     def test_tight_sets_match_sort_per_set_reference(self, data, n):
-        # equal weights and cvar_extremal_density tie q, so sets enter together
+        # equal weights and cvar_extremal_density tie q, so sets enter together;
+        # on dust laws rounding can leave the extremal q non-monotone
         d = data.draw(
             st.one_of(
                 small_laws(max_atoms=1),
-                small_laws(max_atoms=40, min_weight_exp=-20.0),
+                small_laws(max_atoms=60, min_weight_exp=-20.0),
                 small_laws(max_atoms=40, min_weight_exp=0.0),
             )
         )
@@ -157,6 +158,34 @@ class TestCoreCheck:
             report = core_check(d, n, e)
             assert report.tight_sets == tight_sets_by_sort(d, n, e)
             assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 64))
+    def test_permuted_extremal_sets_match_sort_per_set_reference(self, data, n):
+        # on an equal-weight law membership depends only on the probabilities,
+        # so the extremal q permuted over the atoms stays in the envelope with
+        # every upper-level set tight, and most of those sets are not index
+        # ranges
+        m = data.draw(st.integers(1, 60))
+        values = data.draw(st.lists(st.floats(-100, 100), min_size=m, max_size=m, unique=True))
+        d = from_samples([(v, 1.0) for v in values])
+        q = extremal_density(d, n).q
+        e = EnvelopeDensity(q[data.draw(st.permutations(range(d.atom_count)))])
+        report = core_check(d, n, e)
+        assert report.passed
+        assert len(report.tight_sets) == len(np.unique(q))
+        assert report.tight_sets == tight_sets_by_sort(d, n, e)
+        assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
+
+    def test_extremal_sets_are_value_suffixes_at_size(self):
+        rng = np.random.default_rng(12)
+        d = from_samples(np.column_stack([rng.normal(size=2000), rng.uniform(0.5, 1.0, 2000)]))
+        assert d.atom_count == 2000
+        report = core_check(d, 4, extremal_density(d, 4))
+        assert report.passed
+        assert len(report.tight_sets) == 2000
+        for j, members in enumerate(report.tight_sets):
+            assert members == tuple(d.values[-(j + 1) :].tolist())
 
 
 class TestMixtureDensity:
