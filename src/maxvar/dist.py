@@ -3,8 +3,9 @@ deterministic inverse-CDF sampling, and the laws of portfolios of positions
 on common scenarios.
 
 All laws are finite collections of atoms. Atom values are strictly increasing
-(duplicates merged by exact bit equality at construction) and probabilities
-are positive, normalized by their correctly rounded sum (via :func:`_sum`).
+(values that compare equal, 0.0 and -0.0 too, are merged at construction)
+and probabilities are positive, normalized by their correctly rounded sum
+(via :func:`_sum`).
 A :class:`ScenarioTable` holds several positions on the same scenarios;
 :func:`portfolio_law` is the one place a joint table becomes a law.
 """
@@ -131,7 +132,10 @@ class EmpiricalDistribution:
 
     Immutable after construction; the backing arrays are read-only and safe
     to share across concurrent tasks. Prefer :func:`from_samples` over the
-    raw constructor unless the data is already merged and normalized.
+    raw constructor unless the data is already merged and normalized. The
+    constructor checks everything and stores copies; :func:`from_samples`
+    and :func:`portfolio_law` build their laws through one merge step that
+    checks the probabilities once and keeps the arrays it made.
     """
 
     values: np.ndarray
@@ -149,8 +153,10 @@ class EmpiricalDistribution:
         _check_probs(probs, what="atom probabilities")
         if np.any(np.diff(values) <= 0.0):
             raise OutOfRange("atom values must be strictly increasing")
-        values = values.copy()
-        probs = probs.copy()
+        self._store(values.copy(), probs.copy())
+
+    def _store(self, values: np.ndarray, probs: np.ndarray) -> None:
+        # take ownership of fresh, checked float arrays: read-only from here on
         values.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -232,12 +238,43 @@ class SeededSampler:
         return self._gen
 
 
+def _merge(values: np.ndarray, weights: np.ndarray) -> EmpiricalDistribution:
+    """The law of finite ``values`` with finite weights ``>= 0``: equal values
+    merged by summing their weights, zero-weight atoms dropped, and the
+    weights divided by their correctly rounded sum.
+
+    ``np.unique`` returns fresh, finite, strictly increasing values, so only
+    the probabilities are checked (once, by :func:`_check_probs`) and both
+    arrays are kept without the constructor's checks and copies.
+    """
+    uniq, inverse = np.unique(values, return_inverse=True)
+    merged = np.bincount(inverse, weights=weights, minlength=len(uniq))
+    keep = merged > 0.0
+    if not keep.any():
+        raise AllZeroWeights("total weight is zero")
+    uniq, merged = uniq[keep], merged[keep]
+    try:
+        total = _sum(merged)  # inf when a merged weight overflowed
+    except OverflowError:  # finite merged weights whose sum overflows
+        total = math.inf
+    if total == math.inf:
+        raise NonFiniteValue("total weight must be finite")
+    probs = merged / total
+    _check_probs(probs, what="atom probabilities")
+    law = object.__new__(EmpiricalDistribution)
+    law._store(uniq, probs)
+    return law
+
+
 def from_samples(raw) -> EmpiricalDistribution:
     """Build a law from (value, weight) pairs.
 
-    Duplicate values (exact bit equality) are merged by summing weights;
+    Equal values (0.0 and -0.0 too) are merged by summing weights;
     zero-weight atoms are dropped; weights are normalized by their
-    correctly rounded sum.
+    correctly rounded sum. After the pairs are checked (finite, weights
+    ``>= 0``) the law comes from the one merge step that
+    :func:`portfolio_law` also uses; a total weight that overflows raises
+    ``NonFiniteValue``.
     """
     if isinstance(raw, np.ndarray):
         data = np.asarray(raw, dtype=float)
@@ -252,14 +289,7 @@ def from_samples(raw) -> EmpiricalDistribution:
         raise NonFiniteValue("values and weights must be finite")
     if np.any(weights < 0.0):
         raise NegativeProb("weights must be >= 0")
-    uniq, inverse = np.unique(values, return_inverse=True)
-    merged = np.bincount(inverse, weights=weights, minlength=len(uniq))
-    keep = merged > 0.0
-    if not keep.any():
-        raise AllZeroWeights("total weight is zero")
-    uniq, merged = uniq[keep], merged[keep]
-    total = _sum(merged)
-    return EmpiricalDistribution(uniq, merged / total)
+    return _merge(values, weights)
 
 
 def cdf(d: EmpiricalDistribution, t: float) -> CdfValue:
@@ -379,9 +409,16 @@ class PortfolioSpec:
 
 def portfolio_law(t: ScenarioTable, p: PortfolioSpec) -> EmpiricalDistribution:
     """Per scenario, value = sum of weight_c * outcome_c, added in the
-    spec's column order from 0.0; then merge into a law."""
+    spec's column order from 0.0; then merge into a law.
+
+    The table has already checked its scenario probabilities, so only the
+    portfolio values are checked here, before the merge step that
+    :func:`from_samples` also uses: the same law, bit for bit.
+    """
     combo = np.zeros(t.rows.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # from_samples rejects inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         for name, w in p.weights.items():
             combo = combo + w * t.column(name)
-    return from_samples(np.column_stack([combo, t.scenario_probs]))
+    if not np.isfinite(combo).all():
+        raise NonFiniteValue("values and weights must be finite")
+    return _merge(combo, t.scenario_probs)

@@ -53,6 +53,11 @@ class RiskLevel:
         object.__setattr__(self, "alpha", a)
 
 
+def _copies(x) -> int:
+    # the one copy-count rule, for CopyCount and for a plain count alike
+    return _integer(x, "copy count", 1)
+
+
 @dataclass(frozen=True)
 class CopyCount:
     """Number of i.i.d. copies; an integer >= 1. Non-integers are rejected."""
@@ -60,7 +65,7 @@ class CopyCount:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer(self.n, "copy count", 1))
+        object.__setattr__(self, "n", _copies(self.n))
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ def _alpha_value(a) -> float:
 
 
 def _copy_count(nc) -> int:
-    return nc.n if isinstance(nc, CopyCount) else CopyCount(nc).n
+    return nc.n if isinstance(nc, CopyCount) else _copies(nc)
 
 
 def _mixture_copy_count(nc) -> int:
@@ -208,8 +213,15 @@ def distortion_via_weights(nc, x: float) -> float:
 
 
 def _layers(d: EmpiricalDistribution, n: int) -> np.ndarray:
-    """F_k^n - F_{k-1}^n per atom: the law of the max of n copies."""
-    return np.diff(d.cumulative**n, prepend=0.0)
+    """F_k^n - F_{k-1}^n per atom: the law of the max of n copies.
+
+    F_0^n = 0, so the first layer is F_1^n itself; the others are the same
+    IEEE differences as ``np.diff(F**n, prepend=0.0)``, bit for bit."""
+    powered = d.cumulative**n
+    layers = np.empty_like(powered)
+    layers[0] = powered[0]
+    np.subtract(powered[1:], powered[:-1], out=layers[1:])
+    return layers
 
 
 def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:

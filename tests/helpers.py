@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from maxvar import (
+    AllZeroWeights,
     BudgetTooSmall,
     DimensionMismatch,
     EmptyInput,
@@ -19,9 +20,12 @@ from maxvar import (
     McEstimate,
     MissingHeader,
     NegativeProb,
+    NonFiniteValue,
     ParseError,
+    PortfolioSpec,
     ProbSumMismatch,
     QuadratureRule,
+    RiskError,
     ScenarioTable,
     SeededSampler,
     expectation,
@@ -108,6 +112,60 @@ def mc_draw_then_max(
         estimate = math.fsum(maxima.tolist()) / trials
         std_error = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
     return McEstimate(estimate=estimate, std_error=std_error, trials=trials, seed=sampler.seed)
+
+
+def from_samples_validated(raw) -> EmpiricalDistribution:
+    """Reference that ``maxvar.from_samples`` must match bit for bit, and in
+    the type and message of the error it raises: the same input checks and
+    merge, with the law built by the validating constructor from
+    ``merged / total``. Sums use ``math.fsum``, which the library's exact sum
+    matches bit for bit; a total that overflows is outside its domain."""
+    data = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=float)
+    if data.size == 0:
+        raise EmptyInput("no (value, weight) pairs given")
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise DimensionMismatch("expected a sequence of (value, weight) pairs")
+    values, weights = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteValue("values and weights must be finite")
+    if np.any(weights < 0.0):
+        raise NegativeProb("weights must be >= 0")
+    uniq, inverse = np.unique(values, return_inverse=True)
+    merged = np.bincount(inverse, weights=weights, minlength=len(uniq))
+    keep = merged > 0.0
+    if not keep.any():
+        raise AllZeroWeights("total weight is zero")
+    uniq, merged = uniq[keep], merged[keep]
+    total = math.fsum(merged.tolist())
+    return EmpiricalDistribution(uniq, merged / total)
+
+
+def portfolio_law_via_pairs(t: ScenarioTable, p: PortfolioSpec) -> EmpiricalDistribution:
+    """Reference that ``maxvar.portfolio_law`` must match bit for bit: the
+    portfolio value per scenario, stacked with the scenario probabilities
+    into (value, weight) pairs and built by :func:`from_samples_validated`."""
+    combo = np.zeros(t.rows.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, w in p.weights.items():
+            combo = combo + w * t.column(name)
+    return from_samples_validated(np.column_stack([combo, t.scenario_probs]))
+
+
+def law_outcome(build, *args):
+    """The law's value and probability bits with their read-only flags, or
+    the type and message of the typed error that building it raised."""
+    try:
+        d = build(*args)
+    except RiskError as exc:
+        return type(exc), str(exc)
+    arrays = (d.values, d.probs)
+    return tuple((a.dtype.str, a.tobytes(), a.flags.writeable) for a in arrays)
+
+
+def layers_by_diff(d: EmpiricalDistribution, n: int) -> np.ndarray:
+    """Reference that ``maxvar.measures._layers`` must match bit for bit:
+    F_k^n - F_{k-1}^n as ``np.diff`` with a prepended 0."""
+    return np.diff(d.cumulative**n, prepend=0.0)
 
 
 def random_small_dist(rng: np.random.Generator, max_atoms: int = 6) -> EmpiricalDistribution:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxvar import (
@@ -11,18 +11,21 @@ from maxvar import (
     NegativeProb,
     NonFiniteValue,
     OutOfRange,
+    PortfolioSpec,
+    ScenarioTable,
     SeededSampler,
     abs_expectation,
     affine,
     cdf,
     expectation,
     from_samples,
+    portfolio_law,
     quantile,
     sample,
 )
 from maxvar.dist import _SUM_CHUNK, _SUM_MIN_SIZE, _sum
 
-from helpers import d4
+from helpers import d4, from_samples_validated, law_outcome, portfolio_law_via_pairs
 
 
 def finite_floats(lo=-100.0, hi=100.0):
@@ -39,6 +42,42 @@ def small_laws(draw, max_atoms=12):
         st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=m, max_size=m)
     )
     return from_samples(list(zip(values, weights)))
+
+
+# few distinct values, so rows collide and merge; both signs of zero, a
+# subnormal and magnitudes whose portfolio sums overflow
+VALUE_POOL = (0.0, -0.0, 1.0, -1.0, 2.5, -5e-324, 1e-300, 1e8, -1e8, 1e300, 1e308)
+pool_values = st.one_of(st.sampled_from(VALUE_POOL), finite_floats(-1e8, 1e8))
+# zero, or positive down to subnormal; at most 12 rows of <= 1e300 keep the
+# total finite
+pair_weights = st.one_of(st.just(0.0), st.floats(1e-320, 1e300))
+
+
+@st.composite
+def sample_rows(draw):
+    rows = draw(st.lists(st.tuples(pool_values, pair_weights), min_size=1, max_size=12))
+    return np.array(rows) if draw(st.booleans()) else rows
+
+
+@st.composite
+def portfolio_cases(draw):
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12))
+    columns = tuple("xyz"[:k])
+    rows = draw(st.lists(st.lists(pool_values, min_size=k, max_size=k), min_size=m, max_size=m))
+    probs = None
+    if draw(st.booleans()):
+        masses = draw(st.lists(st.floats(1e-300, 1.0), min_size=m, max_size=m))
+        probs = np.array(masses) / math.fsum(masses)
+    weights = draw(
+        st.lists(
+            st.one_of(st.sampled_from((0.0, 1.0, -1.0, 0.5)), finite_floats(-10, 10)),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    assume(any(w != 0.0 for w in weights))
+    return ScenarioTable(columns, np.array(rows), probs), PortfolioSpec(dict(zip(columns, weights)))
 
 
 class TestFromSamples:
@@ -64,10 +103,16 @@ class TestFromSamples:
             from_samples([])
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteValue):
-            from_samples([(math.nan, 1)])
-        with pytest.raises(NonFiniteValue):
-            from_samples([(1, math.inf)])
+        # a non-finite input, a total that overflows, a merged weight that does
+        rows = (
+            [(math.nan, 1)],
+            [(1, math.inf)],
+            [(1.0, 1e308), (2.0, 1e308)],
+            [(1.0, 1e308), (1.0, 1e308)],
+        )
+        for raw in rows:
+            with pytest.raises(NonFiniteValue):
+                from_samples(raw)
 
     def test_all_zero_weights(self):
         with pytest.raises(AllZeroWeights):
@@ -76,11 +121,27 @@ class TestFromSamples:
     def test_negative_weight(self):
         with pytest.raises(NegativeProb):
             from_samples([(1, -0.5), (2, 1)])
+        # a weight whose probability underflows to 0 against the total
+        with pytest.raises(NegativeProb, match="atom probabilities must be > 0"):
+            from_samples([[1.0, 1e-320], [2.0, 1e10]])
 
     def test_arrays_are_immutable(self):
         d = d4()
         with pytest.raises(ValueError):
             d.values[0] = 99.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_rows())
+    @example([(1.0, 1e-320), (2.0, 1e10)])
+    @example([(0.0, 1.0), (-0.0, 1.0), (-0.0, 0.0)])
+    def test_matches_validated_construction(self, rows):
+        assert law_outcome(from_samples, rows) == law_outcome(from_samples_validated, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(portfolio_cases())
+    def test_portfolio_law_matches_pairs_reference(self, case):
+        t, p = case
+        assert law_outcome(portfolio_law, t, p) == law_outcome(portfolio_law_via_pairs, t, p)
 
 
 class TestCdf:

@@ -31,7 +31,7 @@ from maxvar import (
     weight,
     weight_cdf,
 )
-from maxvar.measures import _gauss_legendre
+from maxvar.measures import _gauss_legendre, _layers
 
 from helpers import (
     bernoulli_half,
@@ -40,6 +40,7 @@ from helpers import (
     brute_force_minvar,
     d4,
     exact_maxvar,
+    layers_by_diff,
     mc_draw_then_max,
     mixture_quad_per_panel,
     random_small_dist,
@@ -284,6 +285,11 @@ class TestMaxvarRoutes:
         if d.atom_count > 1:
             # strict for non-constant laws, which only exact values can show
             assert exact_maxvar(d, n + 1) > exact_maxvar(d, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(laws(), dust_laws()), st.integers(1, 64))
+    def test_layers_match_diff_reference(self, d, n):
+        assert _layers(d, n).tobytes() == layers_by_diff(d, n).tobytes()
 
     @given(laws(), copies)
     def test_abs_bound(self, d, n):
