@@ -1,8 +1,8 @@
 """Scenario-based coherent risk measures on finite empirical distributions.
 
-VaR, CVaR (two routes), MAXVAR (four cross-checking routes), MINVAR, the
-dual risk envelope of maxvar with membership/duality checks, and a
-property-test battery for the coherency and averseness axioms.
+VaR, CVaR (two routes), MAXVAR (three cross-checking routes, a spectral one
+that reindexes the choquet sum, and Monte Carlo), MINVAR, the dual envelope
+with membership/duality checks, and property tests of coherency and averseness.
 """
 
 from .axioms import (

@@ -33,18 +33,19 @@ from .dist import (
     ScenarioTable,
     SeededSampler,
     _check_probs,
-    _sum,
     affine,
     from_samples,  # unused here; perfbench's tracer test reads maxvar.cli.from_samples
     portfolio_law,
 )
-from .envelope import extremal_density
+from .envelope import _attained, extremal_density
 from .errors import EmptyInput, MissingHeader, OutOfRange, ParseError, RiskError
 from .measures import (
     CopyCount,
     QuadratureRule,
     RiskLevel,
+    _MAX_POINTS,
     _alpha_value,
+    _copy_count,
     _cvar_at,
     _trial_count,
     cvar_min,
@@ -58,9 +59,13 @@ from .measures import (
 )
 
 
+def _quad_points(q) -> int:  # --points, else ceil(n/2), the fewest exact, in 16..64
+    return q.points if q.points is not None else min(max(16, -(-q.n // 2)), _MAX_POINTS)
+
+
 def _route_quad(law, q):
-    points = () if q.points is None else (q.points,)  # else QuadratureRule's default
-    rule = suggest_rule(law) if q.panels is None else QuadratureRule(q.panels, *points)
+    points = _quad_points(q)
+    rule = suggest_rule(law, points) if q.panels is None else QuadratureRule(q.panels, points)
     value = maxvar_mixture_quad(law, q.n, rule)
     return value, {"panels": rule.panels, "points": rule.points_per_panel}, {}
 
@@ -245,7 +250,7 @@ def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
         cvars = _cvar_at(law, levels)[0].tolist()
         rows = [f"{format_number(a)},{format_number(c)}" for a, c in zip(levels.tolist(), cvars)]
     else:
-        rows = [f"{int(n)},{format_number(maxvar_choquet(law, int(n)))}" for n in grid]
+        rows = [f"{n},{format_number(maxvar_choquet(law, n))}" for n in map(_copy_count, grid)]
     return _csv_lines("param,value", rows)
 
 
@@ -253,7 +258,7 @@ def emit_envelope(t: ScenarioTable, p: PortfolioSpec, nc) -> str:
     """Extremal density as CSV rows (value, prob, q) plus an E[XQ] comment."""
     law = portfolio_law(t, p)
     q = extremal_density(law, nc).q
-    attained = _sum(law.values * q * law.probs)
+    attained = _attained(law, q)
     rows = format_rows(law.values, law.probs, q)
     rows.append(f"# E[XQ]={format_number(attained)}")
     return _csv_lines("value,prob,q", rows)
@@ -360,6 +365,10 @@ def _check_route(args) -> None:
         raise _UsageError("--points requires --panels")
     if args.panels is not None and args.method != "mixture-quad":
         raise _UsageError("a quadrature rule only applies to --method mixture-quad")
+    if args.method == "mixture-quad" and args.n > 2 * (points := _quad_points(args)):
+        raise _UsageError(
+            f"mixture-quad with {points} points per panel is exact only for n <= {2 * points}"
+        )
 
 
 def _opt(*flags, **kwargs):
@@ -396,19 +405,20 @@ def _table(args) -> ScenarioTable:
     return load_csv(args.input or sample_data_path())
 
 
-def _query(args) -> tuple[str, int]:
-    return render_json(run_query(_table(args), args.portfolio, args)), 0
+def _query(args) -> tuple[str, None]:
+    return render_json(run_query(_table(args), args.portfolio, args)), None
 
 
-def _verify(args) -> tuple[str, int]:
-    doc, code = cmd_verify(args.input or sample_data_path(), args.n, args.seed, args.trials)
-    return render_json(doc), code
+def _verify(args) -> tuple[str, str | None]:
+    doc, _ = cmd_verify(args.input or sample_data_path(), args.n, args.seed, args.trials)
+    failed = [check["name"] for check in doc["checks"] if not check["passed"]]
+    return render_json(doc), f"verification failed: {', '.join(failed)}" if failed else None
 
 
 # A subcommand: its help, its options besides --input and --output (each
 # adds itself to a parser), its runner, from parsed options to (output
-# text, exit code), and the check across its options, run before any file
-# is read.
+# text, failure message or None), and the check across its options, run
+# before any file is read.
 Command = namedtuple("Command", "help options run check", defaults=(None,))
 
 
@@ -419,7 +429,7 @@ COMMANDS = {
     "minvar": Command("expected min of n i.i.d. copies", _ROUTE_OPTIONS, _query, _check_route),
     "envelope": Command(
         "extremal dual density as CSV", (_PORTFOLIO, _N),
-        lambda args: (emit_envelope(_table(args), args.portfolio, args.n), 0),
+        lambda args: (emit_envelope(_table(args), args.portfolio, args.n), None),
     ),
     "curve": Command(
         "risk profile CSV over a parameter grid",
@@ -427,7 +437,7 @@ COMMANDS = {
             _opt("--alpha", type=lambda text: _grid(text, False), help="comma-separated CVaR levels"),
             _opt("--n", type=lambda text: _grid(text, True), help="maxvar copy counts, e.g. 1:3 or 1,2,3"),
         )),
-        lambda args: (emit_curve(_table(args), args.portfolio, args.alpha, args.n), 0),
+        lambda args: (emit_curve(_table(args), args.portfolio, args.alpha, args.n), None),
     ),
     "verify": Command(
         "run the verification suite",
@@ -464,15 +474,17 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        text, code = command.run(args)
+        text, failure = command.run(args)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
+        if failure:  # the output is written, and it says what failed
+            raise RiskError(failure)
     except (RiskError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    return 0
 
 
 if __name__ == "__main__":

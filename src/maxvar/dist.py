@@ -151,12 +151,16 @@ class EmpiricalDistribution:
         if not np.all(np.isfinite(values)):
             raise NonFiniteValue("atom values must be finite")
         _check_probs(probs, what="atom probabilities")
-        if np.any(np.diff(values) <= 0.0):
+        if np.any(values[1:] <= values[:-1]):
             raise OutOfRange("atom values must be strictly increasing")
         self._store(values.copy(), probs.copy())
 
     def _store(self, values: np.ndarray, probs: np.ndarray) -> None:
-        # take ownership of fresh, checked float arrays: read-only from here on
+        # take ownership of fresh, checked float arrays: read-only from here
+        # on; the gaps between atom values (tails, CVaR) must not overflow
+        lo, hi = float(values[0]), float(values[-1])
+        if hi - lo == math.inf:
+            raise NonFiniteValue(f"atom values {lo!r} to {hi!r} span more than the float range")
         values.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -335,7 +339,8 @@ def affine(d: EmpiricalDistribution, scale: float, shift: float) -> EmpiricalDis
         raise NonFiniteValue("scale and shift must be finite")
     if scale == 0.0:
         return EmpiricalDistribution(np.array([shift]), np.array([1.0]))
-    new_values = d.values * scale + shift
+    with np.errstate(over="ignore"):  # an overflowed value is rejected below
+        new_values = d.values * scale + shift
     # The map is strictly monotone, but rounding can collide neighbors;
     # re-merge so the invariants survive.
     uniq, inverse = np.unique(new_values, return_inverse=True)

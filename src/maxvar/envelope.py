@@ -191,6 +191,8 @@ class CoreCheckReport:
     the upper-level sets of Q; ``max_equality_gap`` is the largest absolute
     deviation from equality over the same sets (zero up to rounding when the
     density is extremal, where every upper-level set is tight).
+    ``tight_sets`` lists the sets where equality holds, smallest first, each
+    as its atom values in entry order (descending q, ties in ascending value).
     """
 
     max_violation: float
@@ -226,13 +228,10 @@ def core_check(
     Verifies E(Q 1_A) <= h(P(A)) + 1e-9 on every upper-level set
     A = {Q >= threshold} (thresholds at distinct q values; tied atoms enter
     together) and E(Q) = 1 +- 1e-9. Reports the largest signed violation and
-    the sets where equality holds within 1e-9, each as its atom values in
-    ascending order. A set whose atoms are an index range is a slice of one
-    shared tuple of the atom values, so it makes no new float; the extremal
-    density's q is nondecreasing in value (up to rounding on dust laws), so
-    its sets, all tight, are value suffixes: O(m^2) references in total.
-    Only the t tight sets that are not index ranges go through a t x m
-    boolean mask. Pass ``collect_sets=False`` on large laws to skip the sets.
+    the sets where equality holds within 1e-9, each a prefix of one tuple of
+    the atom values in entry order (descending q, ties in ascending value):
+    O(m^2) references to m floats when all m sets are tight, as for the
+    extremal density. Pass ``collect_sets=False`` on large laws to skip them.
     """
     n = _copy_count(nc)
     q = e.q
@@ -241,32 +240,10 @@ def core_check(
             f"density has {len(q)} entries, distribution has {d.atom_count} atoms"
         )
     violations, order, ends = _upper_set_violations(d, n, q)
-    tight: list[tuple[float, ...]] = []
-    if collect_sets:
-        # set j holds the atoms of rank <= j in the descending-q order; when
-        # their indices span exactly j + 1 they are an index range, and the
-        # values ascend with index, so the set is a slice of one shared tuple
-        tight_ends = ends[np.abs(violations) <= _CORE_TOL]
-        starts = np.minimum.accumulate(order)[tight_ends]
-        ranges = np.maximum.accumulate(order)[tight_ends] - starts == tight_ends
-        values = tuple(d.values.tolist())
-        tight = [
-            values[a:b] if r else ()
-            for a, b, r in zip(
-                starts.tolist(), (starts + tight_ends + 1).tolist(), ranges.tolist()
-            )
-        ]
-        scattered = np.flatnonzero(~ranges)
-        if len(scattered):
-            # the other sets come from a rank mask with one row per set; a
-            # row lists its members in value order
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            inside = rank <= tight_ends[scattered, None]
-            members = np.broadcast_to(d.values, inside.shape)[inside].tolist()
-            stops = np.cumsum(tight_ends[scattered] + 1).tolist()
-            for i, a, b in zip(scattered.tolist(), [0, *stops], stops):
-                tight[i] = tuple(members[a:b])
+    tight = ()
+    if collect_sets:  # set j is the first j + 1 atoms to enter: a prefix of one tuple
+        entered = tuple(d.values[order].tolist())
+        tight = tuple(entered[: j + 1] for j in ends[np.abs(violations) <= _CORE_TOL].tolist())
     mean_gap = _sum(q * d.probs) - 1.0
     max_violation = float(np.max(violations))
     passed = max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL
@@ -274,7 +251,7 @@ def core_check(
         max_violation=max_violation,
         mean_gap=mean_gap,
         max_equality_gap=float(np.max(np.abs(violations))),
-        tight_sets=tuple(tight),
+        tight_sets=tight,
         tolerance=_CORE_TOL,
         passed=passed,
     )
@@ -341,13 +318,21 @@ def discrete_envelope_check(
             raise InfeasiblePart(f"part at level {alpha} does not have unit mean")
         combined += lam * q
         bound_terms.append(lam * cvar_min(d, alpha).value)
-    attained = _sum(d.values * combined * d.probs)
+    attained = _attained(d, combined)
     bound = _sum(bound_terms)
     if attained > bound + 1e-9:
         raise NotInEnvelope(
             f"mixture density attains {attained!r} above its CVaR bound {bound!r}"
         )
     return EnvelopeDensity(combined)
+
+
+def _attained(d: EmpiricalDistribution, q: np.ndarray) -> float:
+    """E(XQ) for a density of unit mean: terms (v q) p, or v (q p) if a v q
+    overflows (q p <= 1, so no term then exceeds the largest |v|)."""
+    with np.errstate(over="ignore"):
+        terms = d.values * q
+    return _sum(terms * d.probs if np.isfinite(terms).all() else d.values * (q * d.probs))
 
 
 def dual_gap(d: EmpiricalDistribution, nc, e: EnvelopeDensity) -> float:
@@ -361,4 +346,4 @@ def dual_gap(d: EmpiricalDistribution, nc, e: EnvelopeDensity) -> float:
             f"density fails membership: max violation {report.max_violation!r}, "
             f"mean gap {report.mean_gap!r}"
         )
-    return maxvar_choquet(d, n) - _sum(d.values * e.q * d.probs)
+    return maxvar_choquet(d, n) - _attained(d, e.q)

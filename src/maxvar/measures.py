@@ -82,6 +82,12 @@ class McEstimate:
     seed: int
 
 
+_MAX_POINTS = 64
+# A route that overflows on atoms near the float range reruns on X / _RESCALE
+# and scales back: exact for a power of two, but for atoms it underflows.
+_RESCALE = 2.0**600
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Composite Gauss-Legendre rule: ``panels`` subintervals of [0, 1] with
@@ -93,7 +99,7 @@ class QuadratureRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "panels", _integer(self.panels, "panels", 1))
-        points = _integer(self.points_per_panel, "points_per_panel", 2, 64)
+        points = _integer(self.points_per_panel, "points_per_panel", 2, _MAX_POINTS)
         object.__setattr__(self, "points_per_panel", points)
 
 
@@ -293,9 +299,10 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     """Composite Gauss-Legendre approximation of the CVaR mixture.
 
     Panel boundaries always include every cumulative-probability breakpoint
-    of ``d``, so each panel's integrand is smooth (a low-degree polynomial);
-    16 points per panel are exact far beyond the n <= 32 range. All nodes go
-    in one pass, as n(n-1)a^(n-2) ((1-a) VaR_a + E(X - VaR_a)_+): no 1/(1-a).
+    of ``d``, so each panel's integrand is a polynomial of degree n - 1: the
+    rule is exact for n <= 2 * points_per_panel, and a coarser one is an
+    approximation. All nodes go in one pass, as
+    n(n-1)a^(n-2) ((1-a) VaR_a + E(X - VaR_a)_+): no 1/(1-a).
     """
     n = _copy_count(nc)
     if not isinstance(q, QuadratureRule):
@@ -317,11 +324,28 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
     k = _var_index(d, x)
-    integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
-    # one .tolist() for all panels: each short row is then fsummed as a list,
-    # the same sums in the same order as over numpy rows, minus a scalar each
-    rows = (gl_weights * integrand).tolist()
-    return _sum([h * _sum(row) for h, row in zip(half[:, 0].tolist(), rows)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
+        # one .tolist() for all panels: each short row is then fsummed as a list,
+        # the same sums in the same order as over numpy rows, minus a scalar each
+        rows = (gl_weights * integrand).tolist()
+    try:
+        value = _sum([h * _sum(row) for h, row in zip(half[:, 0].tolist(), rows)])
+    except (OverflowError, ValueError):  # a partial sum past the float range
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    return _RESCALE * maxvar_mixture_quad(affine(d, 1.0 / _RESCALE, 0.0), n, q)
+
+
+def _mean_and_error(x: np.ndarray) -> tuple[float, float]:
+    # the sample mean and its standard error, inf where a sum or square overflows
+    with np.errstate(over="ignore"):
+        try:
+            mean = _sum(x) / len(x)
+        except OverflowError:
+            mean = math.inf
+        return mean, float(np.std(x, ddof=1)) / math.sqrt(len(x))
 
 
 def maxvar_mc(
@@ -358,8 +382,10 @@ def maxvar_mc(
     if maxima.min() == maxima.max():
         estimate, std_error = float(maxima[0]), 0.0
     else:
-        estimate = _sum(maxima) / trials
-        std_error = float(np.std(maxima, ddof=1)) / math.sqrt(trials)
+        estimate, std_error = _mean_and_error(maxima)
+        if not (math.isfinite(estimate) and math.isfinite(std_error)):
+            scaled = _mean_and_error(maxima / _RESCALE)
+            estimate, std_error = (_RESCALE * x for x in scaled)
     return McEstimate(estimate=estimate, std_error=std_error, trials=trials, seed=s.seed)
 
 

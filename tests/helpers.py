@@ -341,11 +341,24 @@ def mixture_quad_per_panel(d: EmpiricalDistribution, nc, q: QuadratureRule) -> f
 
 
 def tight_sets_by_sort(d: EmpiricalDistribution, n: int, e: EnvelopeDensity) -> tuple:
-    """Reference for ``maxvar.core_check(...).tight_sets``: gather each tight
-    upper-level set from the descending-q order and sort its values."""
+    """Set-equality reference for ``maxvar.core_check(...).tight_sets``:
+    gather each tight upper-level set from the descending-q order and sort
+    its values."""
     violations, order, ends = _upper_set_violations(d, n, e.q)
     tight = []
     for j in ends[np.abs(violations) <= _CORE_TOL]:
         members = np.sort(d.values[order[: j + 1]])
         tight.append(tuple(members.tolist()))
     return tuple(tight)
+
+
+def tight_sets_in_entry_order(d: EmpiricalDistribution, n: int, e: EnvelopeDensity) -> tuple:
+    """Reference for ``maxvar.core_check(...).tight_sets``, order included:
+    the atoms stable-sorted by -q in plain Python (ties keep ascending value),
+    and each tight set the first atoms of that order up to its end."""
+    violations, _, ends = _upper_set_violations(d, n, e.q)
+    q = e.q.tolist()
+    values = d.values.tolist()
+    entered = [values[i] for i in sorted(range(len(q)), key=lambda i: -q[i])]
+    tight = ends[np.abs(violations) <= _CORE_TOL].tolist()
+    return tuple(tuple(entered[: j + 1]) for j in tight)

@@ -429,8 +429,9 @@ class TestEmitters:
     def test_curve_domain_errors(self):
         with pytest.raises(OutOfRange):
             emit_curve(load_sample(), PortfolioSpec({"loss": 1.0}), alphas=[1.0])
-        with pytest.raises(OutOfRange):
-            emit_curve(load_sample(), PortfolioSpec({"loss": 1.0}), ns=[0])
+        for n in (0, 2.9, True, "3"):  # copy counts are checked, never truncated
+            with pytest.raises(OutOfRange):
+                emit_curve(load_sample(), PortfolioSpec({"loss": 1.0}), ns=[n])
 
     def test_envelope_constant_column(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -519,6 +520,11 @@ USAGE_ERRORS = {
     "quad-points-0": [*MAXVAR, "--method", "mixture-quad", "--panels", "5", "--points", "0"],
     "points-without-panels": [*MAXVAR, "--method", "mixture-quad", "--points", "8"],
     "panels-without-mixture-quad": [*MAXVAR, "--panels", "5"],
+    # a quadrature rule too coarse to be exact: n > 2 * points per panel
+    "quad-default-points-n-129": ["maxvar", "--column", "loss", "--n", "129",
+                                  "--method", "mixture-quad"],
+    "quad-4-points-n-9": ["minvar", "--column", "loss", "--n", "9", "--method", "mixture-quad",
+                          "--panels", "5", "--points", "4"],
     # --weights entries: malformed, blank or repeated names, bad or zero weights
     "weights-no-value": ["maxvar", "--weights", "loss", "--n", "2"],
     "weights-blank-name": ["maxvar", "--weights", " =1", "--n", "2"],
@@ -538,6 +544,18 @@ class TestCliExitCodes:
         result = run_cli("verify", "--input", str(DATA / "corrupt_prob.csv"), "--trials", "3")
         assert result.returncode == 2
         assert "probabilities" in result.stderr
+
+    def test_failed_verify_names_its_checks_on_one_line(self, monkeypatch, capsys):
+        # the report is still written; stderr lists the checks that failed
+        doc = {"passed": False, "checks": [
+            {"name": "A1-constancy", "passed": True},
+            {"name": "column-loss-duality", "passed": False},
+            {"name": "route-spectral", "passed": False},
+        ]}
+        monkeypatch.setattr(maxvar.cli, "cmd_verify", lambda *args: (doc, 2))
+        code, out, err = run_main(capsys, "verify", "--trials", "1")
+        assert code == 2 and json.loads(out) == doc
+        assert err == "error: verification failed: column-loss-duality, route-spectral\n"
 
     def test_verify_zero_trials_exits_two(self):
         assert run_cli("verify", "--trials", "0").returncode == 2
@@ -575,6 +593,16 @@ class TestCliExitCodes:
             assert main([*quad, "--panels", "5", *extra]) == 0
             doc = json.loads(capsys.readouterr().out)
             assert doc["params"]["panels"] == 5 and doc["params"]["points"] == points
+
+    @pytest.mark.parametrize("n,points", [(33, 17), (100, 50), (128, 64)])
+    def test_default_quadrature_is_exact_up_to_n_128(self, capsys, n, points):
+        # without --points a rule has ceil(n/2) points, at least 16: exact
+        # for the degree n - 1 integrand, so it meets the closed-form route
+        maxvar = ["maxvar", "--column", "loss", "--n", str(n), "--method"]
+        quad = query(capsys, *maxvar, "mixture-quad")
+        exact = query(capsys, *maxvar, "mixture-exact")
+        assert quad["params"]["points"] == points
+        assert quad["value"] == pytest.approx(exact["value"], rel=1e-14)
 
     def test_missing_input_exits_two(self, tmp_path):
         result = run_cli(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from maxvar import (
     AllZeroWeights,
+    EmpiricalDistribution,
     EmptyInput,
     NegativeProb,
     NonFiniteValue,
@@ -109,10 +110,14 @@ class TestFromSamples:
             [(1, math.inf)],
             [(1.0, 1e308), (2.0, 1e308)],
             [(1.0, 1e308), (1.0, 1e308)],
+            # finite values whose span, largest minus smallest, overflows
+            [(-1e308, 1.0), (1e308, 1.0)],
         )
         for raw in rows:
             with pytest.raises(NonFiniteValue):
                 from_samples(raw)
+        with pytest.raises(NonFiniteValue, match="span more than the float range"):
+            EmpiricalDistribution(np.array([-1.7e308, 1.7e308]), np.array([0.5, 0.5]))
 
     def test_all_zero_weights(self):
         with pytest.raises(AllZeroWeights):
@@ -239,6 +244,9 @@ class TestAffine:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteValue):
             affine(d4(), math.inf, 0)
+        # a finite scale whose products overflow: the error, and no warning
+        with pytest.raises(NonFiniteValue):
+            affine(from_samples([(1e300, 1), (2e300, 1)]), 1e10, 0.0)
 
 
 class TestSampler:

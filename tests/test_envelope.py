@@ -35,7 +35,14 @@ from helpers import (
     mixture_density_per_segment,
     random_small_dist,
     tight_sets_by_sort,
+    tight_sets_in_entry_order,
 )
+
+
+def assert_sets_in_entry_order(report, d, n, e):
+    # the same sets as the sorted reference, each in entry order
+    assert tuple(tuple(sorted(s)) for s in report.tight_sets) == tight_sets_by_sort(d, n, e)
+    assert report.tight_sets == tight_sets_in_entry_order(d, n, e)
 
 
 def xq(d, e):
@@ -101,9 +108,9 @@ class TestCoreCheck:
         assert report.max_equality_gap <= 1e-12
         assert report.tight_sets == (
             (4.0,),
-            (3.0, 4.0),
-            (2.0, 3.0, 4.0),
-            (1.0, 2.0, 3.0, 4.0),
+            (4.0, 3.0),
+            (4.0, 3.0, 2.0),
+            (4.0, 3.0, 2.0, 1.0),
         )
 
     def test_tight_single_set_value(self):
@@ -156,7 +163,7 @@ class TestCoreCheck:
             EnvelopeDensity(np.ones(d.atom_count)),
         ):
             report = core_check(d, n, e)
-            assert report.tight_sets == tight_sets_by_sort(d, n, e)
+            assert_sets_in_entry_order(report, d, n, e)
             assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
 
     @settings(max_examples=100, deadline=None)
@@ -174,7 +181,7 @@ class TestCoreCheck:
         report = core_check(d, n, e)
         assert report.passed
         assert len(report.tight_sets) == len(np.unique(q))
-        assert report.tight_sets == tight_sets_by_sort(d, n, e)
+        assert_sets_in_entry_order(report, d, n, e)
         assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
 
     def test_extremal_sets_are_value_suffixes_at_size(self):
@@ -185,7 +192,7 @@ class TestCoreCheck:
         assert report.passed
         assert len(report.tight_sets) == 2000
         for j, members in enumerate(report.tight_sets):
-            assert members == tuple(d.values[-(j + 1) :].tolist())
+            assert members == tuple(d.values[::-1][: j + 1].tolist())
 
 
 class TestMixtureDensity:

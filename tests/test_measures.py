@@ -305,6 +305,15 @@ class TestMixtureQuad:
         c = from_samples([(7.25, 1)])
         assert abs(maxvar_mixture_quad(c, 3, QuadratureRule(panels=1)) - 7.25) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_atoms_near_the_float_range(self, n):
+        # the integrand overflows on these atoms, so the rule runs on the law
+        # divided by 2**600, an exact scaling, and agrees with choquet
+        d = from_samples([(0.0, 1.0), (1e300, 1.0), (1.7e308, 2.0)])
+        value = maxvar_mixture_quad(d, n, suggest_rule(d, max(16, n // 2)))
+        assert math.isfinite(value)
+        assert value == pytest.approx(maxvar_choquet(d, n), rel=1e-13)
+
     def test_cross_method_n5(self):
         d = d4()
         value = maxvar_mixture_quad(d, 5, suggest_rule(d))
@@ -366,6 +375,18 @@ class TestMonteCarlo:
             est = maxvar_mc(from_samples([(value, 1)]), 3, trials, SeededSampler(1))
             assert est.estimate == value
             assert est.std_error == 0.0
+
+    def test_atoms_near_the_float_range(self):
+        # the squares (and, near 1e308, the sum) overflow, so both moments
+        # come from the maxima divided by 2**600, an exact scaling
+        for values in ([1e300, -1e300, 3e299], [1.7e308, 1e308, 0.0]):
+            d = from_samples([(v, 1.0) for v in values])
+            small = from_samples([(v * 2.0**-600, 1.0) for v in values])
+            est = maxvar_mc(d, 3, 10, SeededSampler(1))
+            ref = maxvar_mc(small, 3, 10, SeededSampler(1))
+            assert est.estimate == ref.estimate * 2.0**600
+            assert est.std_error == ref.std_error * 2.0**600
+            assert math.isfinite(est.std_error) and est.std_error > 0.0
 
     def test_d4_pair_max_within_four_se(self):
         est = maxvar_mc(d4(), 2, 10**6, SeededSampler(314159))
