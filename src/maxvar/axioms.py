@@ -384,6 +384,14 @@ def random_paired(gen: np.random.Generator) -> ScenarioTable:
     return _xy_table(x, y, weights / _sum(weights))
 
 
+def _suite_trials(trials) -> int:
+    # the one suite trial-count rule, for run_suite and verify --trials alike
+    trials = _integer(trials, "trials")
+    if trials < 1:
+        raise BudgetTooSmall("need at least 1 trial")
+    return trials
+
+
 def run_suite(seed: int, trials: int) -> VerificationReport:
     """Run every check on ``trials`` randomized instances.
 
@@ -391,9 +399,7 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
     the seed, and records aggregate the worst signed violation per check
     name. Byte-identical reports for identical (seed, trials).
     """
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise BudgetTooSmall("need at least 1 trial")
+    trials = _suite_trials(trials)
     worst: dict[str, CheckRecord] = {}
 
     def consider(rec: CheckRecord) -> None:

@@ -41,7 +41,6 @@ from .envelope import _attained, extremal_density
 from .errors import EmptyInput, MissingHeader, OutOfRange, ParseError, RiskError
 from .measures import (
     CopyCount,
-    QuadratureRule,
     RiskLevel,
     _MAX_POINTS,
     _alpha_value,
@@ -59,13 +58,8 @@ from .measures import (
 )
 
 
-def _quad_points(q) -> int:  # --points, else ceil(n/2), the fewest exact, in 16..64
-    return q.points if q.points is not None else min(max(16, -(-q.n // 2)), _MAX_POINTS)
-
-
-def _route_quad(law, q):
-    points = _quad_points(q)
-    rule = suggest_rule(law, points) if q.panels is None else QuadratureRule(q.panels, points)
+def _route_quad(law, q):  # ceil(n/2) points, at least 16: the fewest exact for n <= 128
+    rule = suggest_rule(law, min(max(16, -(-q.n // 2)), _MAX_POINTS))
     value = maxvar_mixture_quad(law, q.n, rule)
     return value, {"panels": rule.panels, "points": rule.points_per_panel}, {}
 
@@ -284,16 +278,16 @@ def _column_checks(table: ScenarioTable, n: int) -> list[CheckRecord]:
     return records
 
 
-def cmd_verify(path, n: int, seed: int, trials: int) -> tuple[dict, int]:
+def cmd_verify(path, n: int, seed: int, trials: int) -> dict:
     """Load the CSV, run the randomized suite plus per-column checks, and
-    return (report document, exit code)."""
+    return the report document."""
     table = load_csv(path)
     suite = run_suite(seed, trials)
     checks = sorted(
         [*suite.checks, *_column_checks(table, n)], key=lambda c: c.name
     )
     report = VerificationReport(seed=suite.seed, trials=suite.trials, checks=tuple(checks))
-    return report.to_doc(), 0 if report.passed else 2
+    return report.to_doc()
 
 
 class _UsageError(Exception):
@@ -361,13 +355,10 @@ def _check_route(args) -> None:
     mc = args.method == "mc"
     if mc != (args.trials is not None) or mc != (args.seed is not None):
         raise _UsageError("--trials and --seed are required exactly for --method mc")
-    if args.points is not None and args.panels is None:
-        raise _UsageError("--points requires --panels")
-    if args.panels is not None and args.method != "mixture-quad":
-        raise _UsageError("a quadrature rule only applies to --method mixture-quad")
-    if args.method == "mixture-quad" and args.n > 2 * (points := _quad_points(args)):
+    if args.method == "mixture-quad" and args.n > 2 * _MAX_POINTS:
         raise _UsageError(
-            f"mixture-quad with {points} points per panel is exact only for n <= {2 * points}"
+            f"mixture-quad with {_MAX_POINTS} points per panel is exact only for "
+            f"n <= {2 * _MAX_POINTS}"
         )
 
 
@@ -396,8 +387,6 @@ _ROUTE_OPTIONS = (
     _opt("--method", default="choquet", choices=tuple(ROUTES)),
     _opt("--trials", type=_option(int, _trial_count)),
     _opt("--seed", type=int),
-    _opt("--panels", type=_option(int, lambda k: QuadratureRule(k).panels)),
-    _opt("--points", type=_option(int, lambda k: QuadratureRule(1, k).points_per_panel)),
 )
 
 
@@ -410,7 +399,7 @@ def _query(args) -> tuple[str, None]:
 
 
 def _verify(args) -> tuple[str, str | None]:
-    doc, _ = cmd_verify(args.input or sample_data_path(), args.n, args.seed, args.trials)
+    doc = cmd_verify(args.input or sample_data_path(), args.n, args.seed, args.trials)
     failed = [check["name"] for check in doc["checks"] if not check["passed"]]
     return render_json(doc), f"verification failed: {', '.join(failed)}" if failed else None
 
@@ -444,7 +433,7 @@ COMMANDS = {
         (
             _opt("--n", type=_count, default=2),
             _opt("--seed", type=int, default=42),
-            _opt("--trials", type=int, default=100),
+            _opt("--trials", type=_option(int, axioms._suite_trials), default=100),
         ),
         _verify,
     ),

@@ -54,13 +54,14 @@ class RiskLevel:
 
 
 def _copies(x) -> int:
-    # the one copy-count rule, for CopyCount and for a plain count alike
-    return _integer(x, "copy count", 1)
+    # the one copy-count rule, for CopyCount and for a plain count alike; the
+    # routes compute in floats, and 2^128 keeps the weight's n(n-1) finite
+    return _integer(x, "copy count", 1, 2**128)
 
 
 @dataclass(frozen=True)
 class CopyCount:
-    """Number of i.i.d. copies; an integer >= 1. Non-integers are rejected."""
+    """Number of i.i.d. copies; an integer in 1..2^128. Non-integers are rejected."""
 
     n: int
 
@@ -92,7 +93,8 @@ _RESCALE = 2.0**600
 class QuadratureRule:
     """Composite Gauss-Legendre rule: ``panels`` subintervals of [0, 1] with
     ``points_per_panel`` nodes each; panels >= 1 and 2 <= points_per_panel
-    <= 64. Like :class:`CopyCount`, bools and floats (even 16.0) are rejected."""
+    <= 64. Like :class:`CopyCount`, bools and floats (even 16.0) are rejected.
+    Snapped to a law's breakpoints it is exact for n <= 2 * points_per_panel."""
 
     panels: int
     points_per_panel: int = 16
@@ -279,7 +281,8 @@ def quadrature_breakpoints(d: EmpiricalDistribution) -> np.ndarray:
 
 
 def suggest_rule(d: EmpiricalDistribution, points_per_panel: int = 16) -> QuadratureRule:
-    """Smallest valid rule for ``d``: one panel per breakpoint gap."""
+    """Fewest panels for ``d``, one per breakpoint gap; exact for
+    n <= 2 * points_per_panel, so only for n <= 32 at the default 16 points."""
     return QuadratureRule(
         panels=len(quadrature_breakpoints(d)) + 1, points_per_panel=points_per_panel
     )

@@ -28,6 +28,7 @@ from maxvar import (
     UnknownColumn,
     axioms,
     portfolio_law,
+    quadrature_breakpoints,
 )
 import maxvar.cli
 from maxvar.cli import (
@@ -352,11 +353,10 @@ class TestRiskQuery:
         # main reuses one parser per process; no option may leak from one
         # call into the next, including from a call that fails part-way
         calls = [
-            ("maxvar", "--column", "loss", "--n", "3", "--method", "mixture-quad",
-             "--panels", "40", "--points", "8"),
+            ("maxvar", "--column", "loss", "--n", "3", "--method", "mixture-quad"),
             ("maxvar", "--column", "loss", "--n", "2", "--alpha", "0.5"),
             ("maxvar", "--column", "loss", "--n", "2"),
-            ("minvar", "--column", "loss", "--n", "2", "--method", "mc", "--panels", "0"),
+            ("minvar", "--column", "loss", "--n", "2", "--method", "mc", "--trials", "1"),
             ("minvar", "--column", "loss", "--n", "2", "--method", "mc",
              "--trials", "10", "--seed", "1"),
             ("minvar", "--column", "loss", "--n", "2"),
@@ -490,6 +490,7 @@ class TestCliGolden:
 # Each is a usage error (exit 1). MAXVAR and MC prefix a maxvar query.
 MAXVAR = ["maxvar", "--column", "loss", "--n", "2"]
 MC = [*MAXVAR, "--method", "mc", "--seed", "1"]
+BIG_N = "1" + "0" * 400
 USAGE_ERRORS = {
     "missing-n": ["maxvar", "--column", "loss"],
     "unknown-subcommand": ["frobnicate"],
@@ -514,17 +515,20 @@ USAGE_ERRORS = {
     "var-alpha-1.5": ["var", "--column", "loss", "--alpha", "1.5"],
     "cvar-alpha-negative": ["cvar", "--column", "loss", "--alpha", "-0.1"],
     "verify-n-0": ["verify", "--n", "0"],  # before the suite runs
+    # a copy count past the bound of CopyCount (the routes compute in floats)
+    "maxvar-n-400-digits": ["maxvar", "--column", "loss", "--n", BIG_N],
+    "curve-n-400-digits": ["curve", "--column", "loss", "--n", f"1,{BIG_N}"],
+    "verify-n-400-digits": ["verify", "--n", BIG_N],
+    # a suite trial count below 1
+    "verify-trials-0": ["verify", "--trials", "0"],
+    "verify-trials-negative": ["verify", "--trials", "-3"],
     # a Monte Carlo trial count too small for a standard error
     "mc-one-trial": [*MC, "--trials", "1"],
-    # a quadrature point count below 2 (0 used to run with 16 points)
-    "quad-points-0": [*MAXVAR, "--method", "mixture-quad", "--panels", "5", "--points", "0"],
-    "points-without-panels": [*MAXVAR, "--method", "mixture-quad", "--points", "8"],
-    "panels-without-mixture-quad": [*MAXVAR, "--panels", "5"],
-    # a quadrature rule too coarse to be exact: n > 2 * points per panel
+    # mixture-quad derives its rule from the law and n: there is no option
+    "panels-option-removed": [*MAXVAR, "--method", "mixture-quad", "--panels", "5"],
+    # no exact rule past 64 points per panel: n > 128
     "quad-default-points-n-129": ["maxvar", "--column", "loss", "--n", "129",
                                   "--method", "mixture-quad"],
-    "quad-4-points-n-9": ["minvar", "--column", "loss", "--n", "9", "--method", "mixture-quad",
-                          "--panels", "5", "--points", "4"],
     # --weights entries: malformed, blank or repeated names, bad or zero weights
     "weights-no-value": ["maxvar", "--weights", "loss", "--n", "2"],
     "weights-blank-name": ["maxvar", "--weights", " =1", "--n", "2"],
@@ -552,13 +556,15 @@ class TestCliExitCodes:
             {"name": "column-loss-duality", "passed": False},
             {"name": "route-spectral", "passed": False},
         ]}
-        monkeypatch.setattr(maxvar.cli, "cmd_verify", lambda *args: (doc, 2))
+        monkeypatch.setattr(maxvar.cli, "cmd_verify", lambda *args: doc)
         code, out, err = run_main(capsys, "verify", "--trials", "1")
         assert code == 2 and json.loads(out) == doc
         assert err == "error: verification failed: column-loss-duality, route-spectral\n"
 
-    def test_verify_zero_trials_exits_two(self):
-        assert run_cli("verify", "--trials", "0").returncode == 2
+    def test_verify_zero_trials_exits_one(self):
+        result = run_cli("verify", "--trials", "0")
+        assert result.returncode == 1
+        assert result.stderr == "usage error: need at least 1 trial\n"
 
     def test_bad_cell_exits_two(self):
         result = run_cli(
@@ -587,22 +593,30 @@ class TestCliExitCodes:
         assert code == 1
         assert err == "usage error: the n range 1:1000000000000000 is too long to hold\n"
 
-    def test_quadrature_points_default_only_when_not_given(self, capsys):
-        quad = ["maxvar", "--column", "loss", "--n", "2", "--method", "mixture-quad"]
-        for extra, points in (([], 16), (["--points", "8"], 8)):
-            assert main([*quad, "--panels", "5", *extra]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc["params"]["panels"] == 5 and doc["params"]["points"] == points
-
-    @pytest.mark.parametrize("n,points", [(33, 17), (100, 50), (128, 64)])
+    @pytest.mark.parametrize(
+        "n,points", [(n, min(max(16, math.ceil(n / 2)), 64)) for n in range(1, 129)]
+    )
     def test_default_quadrature_is_exact_up_to_n_128(self, capsys, n, points):
-        # without --points a rule has ceil(n/2) points, at least 16: exact
-        # for the degree n - 1 integrand, so it meets the closed-form route
+        # the rule has one panel per breakpoint gap and ceil(n/2) points, at
+        # least 16: exact for the degree n - 1 integrand, so it meets the
+        # closed-form route
         maxvar = ["maxvar", "--column", "loss", "--n", str(n), "--method"]
         quad = query(capsys, *maxvar, "mixture-quad")
         exact = query(capsys, *maxvar, "mixture-exact")
+        law = portfolio_law(load_sample(), PortfolioSpec({"loss": 1.0}))
         assert quad["params"]["points"] == points
+        assert quad["params"]["panels"] == len(quadrature_breakpoints(law)) + 1
         assert quad["value"] == pytest.approx(exact["value"], rel=1e-14)
+
+    def test_copy_count_bound_is_named(self, capsys):
+        big = 2**128 + 1
+        for args in (["maxvar", "--column", "loss", "--n", str(big)],
+                     ["curve", "--column", "loss", "--n", f"1:{big}"],
+                     ["envelope", "--column", "loss", "--n", str(big)]):
+            code, out, err = run_main(capsys, *args)
+            assert code == 1 and out == ""
+            assert err == f"usage error: copy count must be an integer in 1..{2**128}, got {big}\n"
+        assert run_main(capsys, "maxvar", "--column", "loss", "--n", str(2**128))[0] == 0
 
     def test_missing_input_exits_two(self, tmp_path):
         result = run_cli(
@@ -682,9 +696,9 @@ OPTIONS = {
     "var": {"--input", "--column", "--weights", "--alpha", "--output"},
     "cvar": {"--input", "--column", "--weights", "--alpha", "--output"},
     "maxvar": {"--input", "--column", "--weights", "--n", "--method", "--trials", "--seed",
-               "--panels", "--points", "--output"},
+               "--output"},
     "minvar": {"--input", "--column", "--weights", "--n", "--method", "--trials", "--seed",
-               "--panels", "--points", "--output"},
+               "--output"},
     "envelope": {"--input", "--column", "--weights", "--n", "--output"},
     "curve": {"--input", "--column", "--weights", "--output", "--alpha", "--n"},
     "verify": {"--input", "--n", "--seed", "--trials", "--output"},

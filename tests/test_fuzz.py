@@ -12,6 +12,7 @@ import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -72,8 +73,8 @@ gaps = attrgetter("max_violation", "mean_gap")
 
 
 def _library_calls(d, n, alpha, scale):
-    points = max(16, -(-n // 2))  # exact for the degree n - 1 integrand
-    e = extremal_density(d, n)
+    points = min(max(16, -(-n // 2)), 64)  # exact for the degree n - 1 integrand
+    e = partial(extremal_density, d, n)  # inside each call: a count past the bound raises
     return {
         "var": lambda: var(d, alpha),
         "cvar_min": lambda: cvar_min(d, alpha).value,
@@ -84,9 +85,9 @@ def _library_calls(d, n, alpha, scale):
         "maxvar_mixture_quad": lambda: maxvar_mixture_quad(d, n, suggest_rule(d, points)),
         "maxvar_mc": lambda: moments(maxvar_mc(d, n, 16, SeededSampler(7))),
         "minvar": lambda: minvar(d, n),
-        "extremal_density": lambda: float(e.q.max()),
-        "core_check": lambda: gaps(core_check(d, n, e)),
-        "dual_gap": lambda: dual_gap(d, n, e),
+        "extremal_density": lambda: float(e().q.max()),
+        "core_check": lambda: gaps(core_check(d, n, e())),
+        "dual_gap": lambda: dual_gap(d, n, e()),
         "mixture_density": lambda: float(
             mixture_density(d, n, CvarFeasibleFamily.cvar_extremal(d)).q.max()
         ),
@@ -95,9 +96,10 @@ def _library_calls(d, n, alpha, scale):
 
 
 @BUDGET
-@given(extreme_laws(), st.integers(1, 64), LEVELS,
+@given(extreme_laws(), st.one_of(st.integers(1, 64), st.just(10**400)), LEVELS,
        st.sampled_from([1e10, -1e10, 1e-10, 1e300, -1.0]))
 @example(from_samples([(1e300, 1.0), (-1e300, 1.0), (3e299, 1.0)]), 3, 0.5, 1e10)
+@example(from_samples([(1.0, 1.0), (4.0, 1.0)]), 10**400, 0.5, 1e10)
 def test_library_raises_only_risk_errors(d, n, alpha, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -142,13 +144,14 @@ def csv_texts(draw):
     return bom + newline.join(",".join(row) for row in rows) + newline
 
 
+BIG_N = "1" + "0" * 400  # past the copy-count bound and the float range
 COUNTS = st.sampled_from(["1", "2", "3", "33", "64", "128", "129", "100000", "9007199254740993",
-                          "100000000000000000000", "0", "2.5"])
+                          "100000000000000000000", BIG_N, "0", "2.5"])
 
 
 @st.composite
 def argvs(draw):
-    """One call of any subcommand and route, with counts up to 1e20 and
+    """One call of any subcommand and route, with counts up to 1e400 and
     levels up to the largest double below 1."""
     portfolio = draw(st.sampled_from([["--column", "loss"], ["--weights", "loss=1,gain=-1"],
                                       ["--weights", "loss=1e10,gain=1e10"]]))
@@ -162,20 +165,20 @@ def argvs(draw):
         return [command, *portfolio, *n]
     if command == "curve":
         grid = draw(st.sampled_from([["--n", "1:4"], ["--n", "2,100000000000000000000"],
+                                     ["--n", f"2,{BIG_N}"],
                                      ["--alpha", "0,0.5,0.9999999999999999"]]))
         return [command, *portfolio, *grid]
     if command == "verify":
-        return [command, "--n", draw(st.sampled_from(["2", "3", "100000"])), "--trials", "1"]
+        return [command, "--n", draw(st.sampled_from(["2", "3", "100000", BIG_N])), "--trials", "1"]
     method = draw(st.sampled_from(["choquet", "mixture-exact", "mixture-quad", "spectral", "mc"]))
     extra = {"mc": ["--trials", "10", "--seed", "1"]}.get(method, [])
-    if method == "mixture-quad" and draw(st.booleans()):
-        extra = ["--panels", "12", "--points", draw(st.sampled_from(["2", "16", "64"]))]
     return [command, *portfolio, *n, "--method", method, *extra]
 
 
 @settings(BUDGET, suppress_health_check=[HealthCheck.too_slow])
 @given(csv_texts(), argvs())
 @example("loss\n1_000\n1e308\n1\n", ["envelope", "--column", "loss", "--n", "3"])
+@example("loss\n1\n2\n", ["maxvar", "--column", "loss", "--n", BIG_N])
 @example("loss\n1e300\n-1e300\n3e299\n",
          ["maxvar", "--column", "loss", "--n", "3", "--method", "mc", "--trials", "10",
           "--seed", "1"])

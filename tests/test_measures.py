@@ -105,6 +105,18 @@ class TestDomainTypes:
             CopyCount(True)
         assert CopyCount(np.int64(3)).n == 3
 
+    def test_copy_count_bound(self):
+        # past 2^128 every route refuses the count; below it none overflows
+        assert CopyCount(2**128).n == 2**128
+        with pytest.raises(OutOfRange, match=f"in 1..{2**128}"):
+            CopyCount(2**128 + 1)
+        d = from_samples([(1, 1), (2, 1), (3, 1), (4, 1)])
+        for call in (lambda n: maxvar_choquet(d, n), lambda n: maxvar_mixture_exact(d, n),
+                     lambda n: weight(n, 0.5)):
+            assert math.isfinite(call(2**128))
+            with pytest.raises(OutOfRange):
+                call(10**400)
+
     def test_quadrature_rule_bounds(self):
         with pytest.raises(OutOfRange):
             QuadratureRule(panels=0)
