@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import io
 import math
 import sys
 from collections import namedtuple
@@ -146,22 +147,66 @@ def _raise_bad_cell(path, header: list[str], widths: list[int], cells: list[str]
                 )
 
 
-def load_csv(path) -> ScenarioTable:
-    """Parse a scenario CSV (see module notes for the format).
+def _checked_header(path, cells: list[str]) -> list[str]:
+    """The header's column names, stripped; MissingHeader or ParseError if
+    one is blank, looks like data or is repeated."""
+    header = [cell.strip() for cell in cells]
+    if not header or any(not name for name in header):
+        raise MissingHeader(f"{path}: blank column name in header")
+    for name in header:
+        try:
+            is_data = math.isfinite(float(name))
+        except ValueError:
+            continue
+        if is_data:
+            raise MissingHeader(f"{path}: header cell {name!r} looks like data")
+    if len(set(header)) != len(header):
+        raise ParseError(f"{path}: duplicate column names in header")
+    return header
 
-    Fields are split and unquoted by the ``csv`` module, and a cell is
-    accepted exactly when Python's ``float()`` reads it as a finite number
-    (so ``1_000``, space-padded cells and full-width digits load, while
-    ``nan``, ``inf`` and ``1e500`` are refused). Parse failures name
-    the 1-based data row and the column. Probabilities off by more than 1e-9
-    raise ProbSumMismatch; smaller drift is renormalized exactly.
-    """
-    raw = Path(path).read_bytes()
-    body = raw.removeprefix(codecs.BOM_UTF8)  # spreadsheets prepend a BOM
+
+# The only bytes a plain file's body holds: decimal digits, signs, points,
+# exponent letters, commas and LF.
+_PLAIN_BODY = b"0123456789.eE+-,\n"
+
+
+def _read_plain(path, data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The checked header and the (rows, width) array of a plain file, read
+    with numpy's C reader; None for any other file, or if a row or cell is
+    bad, so that :func:`_read_general` reads it and names the error. A bad
+    header raises here, with the error the general path would raise.
+
+    A file is plain when its first line is non-empty printable ASCII with
+    no quote, the rest holds only ``_PLAIN_BODY`` bytes and is not all
+    blank, and no line is longer than ``csv.field_size_limit()``. The
+    ``csv`` module then splits every line at its commas, and ``loadtxt``
+    converts each cell with the routine ``float()`` uses, so both paths
+    give the same table."""
+    first, _, body = data.partition(b"\n")
+    if not first.isascii() or body.translate(None, _PLAIN_BODY) or not body.strip(b"\n"):
+        return None
+    names = first.decode("ascii")
+    if not names or not names.isprintable() or '"' in names:
+        return None
+    if max(map(len, data.split(b"\n"))) > csv.field_size_limit():
+        return None
+    header = _checked_header(path, names.split(","))
     try:
-        text = body.decode("utf-8")
+        parsed = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if parsed.shape[1] != len(header) or not np.isfinite(parsed).all():
+        return None
+    return header, parsed
+
+
+def _read_general(path, raw: bytes, data: bytes) -> tuple[list[str], np.ndarray]:
+    """The checked header and the (rows, width) array of any file: split and
+    unquoted by the ``csv`` module, each cell through ``float()``."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        offset = len(raw) - len(body) + exc.start
+        offset = len(raw) - len(data) + exc.start
         raise ParseError(f"{path}: not valid UTF-8 at byte {offset}") from None
     reader = csv.reader(text.splitlines())
     lines = filter(None, reader)  # blank lines are skipped
@@ -180,23 +225,18 @@ def load_csv(path) -> ScenarioTable:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if first is None:
         raise MissingHeader(f"{path}: file is empty")
-    header = [cell.strip() for cell in first]
-    if not header or any(not name for name in header):
-        raise MissingHeader(f"{path}: blank column name in header")
-    for name in header:
-        try:
-            is_data = math.isfinite(float(name))
-        except ValueError:
-            continue
-        if is_data:
-            raise MissingHeader(f"{path}: header cell {name!r} looks like data")
-    if len(set(header)) != len(header):
-        raise ParseError(f"{path}: duplicate column names in header")
+    header = _checked_header(path, first)
     if not widths:
         raise EmptyInput(f"{path}: no scenario rows after the header")
     parsed = _convert_cells(widths, cells, len(header))
     if parsed is None:  # some row or cell is bad: find the first and name it
         _raise_bad_cell(path, header, widths, cells)
+    return header, parsed
+
+
+def _split_probs(path, header: list[str], parsed: np.ndarray) -> ScenarioTable:
+    """The table, with a ``prob`` column taken out as the scenario
+    probabilities and renormalized."""
     probs = None
     if PROB_COLUMN in header:
         j = header.index(PROB_COLUMN)
@@ -208,6 +248,28 @@ def load_csv(path) -> ScenarioTable:
         if not header:
             raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
     return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)
+
+
+def load_csv(path) -> ScenarioTable:
+    """Parse a scenario CSV (see module notes for the format).
+
+    Fields are split and unquoted by the ``csv`` module, and a cell is
+    accepted exactly when Python's ``float()`` reads it as a finite number
+    (so ``1_000``, space-padded cells and full-width digits load, while
+    ``nan``, ``inf`` and ``1e500`` are refused). Parse failures name
+    the 1-based data row and the column. Probabilities off by more than 1e-9
+    raise ProbSumMismatch; smaller drift is renormalized exactly.
+
+    A plain file (an ASCII header without quotes, then only decimal digits,
+    ``.``, ``e``, ``E``, ``+``, ``-``, commas and LF, no line longer than
+    the ``csv`` field limit) is converted by ``np.loadtxt`` in one call.
+    Every other file, and a plain one with a bad row or cell, is read cell
+    by cell. The table and every error are the same on both paths.
+    """
+    raw = Path(path).read_bytes()
+    data = raw.removeprefix(codecs.BOM_UTF8)  # spreadsheets prepend a BOM
+    header, parsed = _read_plain(path, data) or _read_general(path, raw, data)
+    return _split_probs(path, header, parsed)
 
 
 def run_query(t: ScenarioTable, p: PortfolioSpec, q) -> dict:

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,72 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(write(tmp_path, "a,a\n1,2\n"))
 
+    def test_field_over_the_csv_limit_is_refused_even_when_plain(self, tmp_path):
+        # a finite cell of only digits, one byte over the field limit
+        long_cell = write(tmp_path, "a,b\n1," + "0" * 140_000 + "1\n")
+        with pytest.raises(ParseError, match=re.escape(
+            "line 2: field larger than field limit (131072)"
+        )):
+            load_csv(long_cell)
+        long_name = write(tmp_path, "a," + "b" * 140_000 + "\n1,2\n")
+        with pytest.raises(ParseError, match=re.escape(
+            "line 1: field larger than field limit (131072)"
+        )):
+            load_csv(long_name)
+
+    def test_short_field_of_the_same_file_loads_without_the_cell_pass(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(maxvar.cli, "_convert_cells", _refuse_cell_pass)
+        t = load_csv(write(tmp_path, "a,b\n1," + "0" * 100 + "1\n"))
+        assert t.rows.tolist() == [[1.0, 1.0]]
+
+
+def _refuse_cell_pass(*args):
+    raise AssertionError("load_csv ran the cell-by-cell pass")
+
+
+def _general_path(path):
+    """load_csv's table as the csv-module path reads it, whatever the file."""
+    raw = Path(path).read_bytes()
+    return maxvar.cli._split_probs(path, *maxvar.cli._read_general(path, raw, raw))
+
+
+class TestPlainFastPath:
+    @staticmethod
+    def plain_text(rows=200):
+        rng = np.random.default_rng(7)
+        values = rng.standard_t(3, size=(rows, 3)) * [1e-3, 1.0, 1e8]
+        probs = rng.uniform(0.5, 1.0, rows)
+        table = np.column_stack([values, probs / probs.sum()]).tolist()
+        lines = ["a,b, c ,prob", *(",".join(map(repr, row)) for row in table)]
+        return "\n".join(lines) + "\n"
+
+    def test_plain_file_skips_the_cell_pass_and_matches_it(self, tmp_path, monkeypatch):
+        p = write(tmp_path, self.plain_text())
+        general = _general_path(p)
+        monkeypatch.setattr(maxvar.cli, "_convert_cells", _refuse_cell_pass)
+        t = load_csv(p)
+        assert t.columns == general.columns == ("a", "b", "c")
+        assert t.rows.shape == (200, 3)
+        assert t.rows.tobytes() == general.rows.tobytes()
+        assert t.probs.tobytes() == general.probs.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: "\n" + text,
+        lambda text: text.replace("a,b", '"a",b', 1),
+        lambda text: text.replace("a,b", "\u00e1,b", 1),
+        lambda text: text.replace("\n", "\n ", 1),
+        lambda text: text.replace("\n", "\n1_0,2,3,1\n", 1),
+    ], ids=["crlf", "leading-blank-line", "quoted-name", "non-ascii-name",
+            "padded-cell", "underscore"])
+    def test_other_files_take_the_cell_pass(self, tmp_path, monkeypatch, edit):
+        p = write(tmp_path, edit(self.plain_text()))
+        monkeypatch.setattr(maxvar.cli, "_convert_cells", _refuse_cell_pass)
+        with pytest.raises(AssertionError, match="cell-by-cell"):
+            load_csv(p)
+
 
 # Cells that float() reads in ways a number parser other than float() may
 # not (underscores, padding, non-ASCII digits, subnormals, signed zero),
@@ -127,14 +194,26 @@ ODD_CELLS = (
     "", "x", "1__0", '"3"', '" 4 "', '"1,5"', '"1\n2"', '"5',
 )
 NON_FINITE_CELLS = ("nan", "-NaN", "inf", "-Infinity", "1e500")
+# The same kinds of cell spelled only with the bytes a plain file's body may
+# hold (digits, signs, points, exponent letters): load_csv converts those
+# files with np.loadtxt, and these must be refused or read as float() does.
+PLAIN_ODD_CELLS = (
+    "1e", "e5", "+-1", ".", "-", "1..2", "", "1e-320", "-0", "+1", "1.", ".5",
+    "0001", "1E+5", "-.0e-0",
+)
+PLAIN_NON_FINITE_CELLS = ("1e500", "-1e309")
 
 
 @st.composite
 def scenario_files(draw):
     """Bytes of a scenario CSV: valid 17-digit cells, then a few defects
-    (odd or non-finite cells, short or long rows, blank lines), in CRLF or
-    LF, with or without a byte-order mark."""
-    names = draw(st.lists(st.sampled_from(["a", "b", "c", PROB_COLUMN]),
+    (odd or non-finite cells, short or long rows, trailing commas, blank
+    lines), in CRLF or LF, with or without a byte-order mark. Half are
+    plain, LF with defects spelled only in digits, signs, points and
+    exponents; some of those are made not plain by a blank line before the
+    header or a quoted name over a line break. Some bodies are all blank."""
+    plain = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", PROB_COLUMN, '"d\ne"', "f\fg"]),
                           min_size=1, max_size=3, unique=True))
     count = draw(st.integers(1, 6))
     number = st.floats(-1e12, 1e12, allow_nan=False).map(lambda x: f"{x:.17g}")
@@ -145,18 +224,29 @@ def scenario_files(draw):
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(rows) - 1))
         row = rows[i]
-        kind = draw(st.sampled_from(["odd", "non-finite", "short", "long", "blank"]))
+        kind = draw(st.sampled_from(
+            ["odd", "non-finite", "short", "long", "trailing-comma", "blank"]
+        ))
         if kind == "blank":
             rows.insert(i, [])
         elif kind == "short":
             del row[-1:]
         elif kind == "long":
             row.append(draw(number))
+        elif kind == "trailing-comma":
+            row.append("")
         elif row:
-            cells = ODD_CELLS if kind == "odd" else NON_FINITE_CELLS
+            if plain:
+                cells = PLAIN_ODD_CELLS if kind == "odd" else PLAIN_NON_FINITE_CELLS
+            else:
+                cells = ODD_CELLS if kind == "odd" else NON_FINITE_CELLS
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.integers(0, 7)) == 0:
+        rows = [[] for _ in rows]
+    newline = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(names), *(",".join(row) for row in rows)]
+    if draw(st.integers(0, 7)) == 0:
+        lines.insert(0, "")
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
     return bom + text.encode("utf-8")
@@ -171,14 +261,40 @@ def _load_outcome(load, path):
     return t.columns, t.rows.shape, t.rows.tobytes(), probs
 
 
+def _assert_same_outcome(path):
+    with warnings.catch_warnings():  # loadtxt warns on a file without rows
+        warnings.simplefilter("error")
+        assert _load_outcome(load_csv, path) == _load_outcome(load_csv_per_cell, path)
+
+
+# 300 examples in tier-1; the fuzz profile's own under --hypothesis-profile=fuzz.
+DIFFERENTIAL_BUDGET = (
+    settings() if settings.get_current_profile_name() == "fuzz"
+    else settings(max_examples=300, deadline=None)
+)
+
+
 class TestLoadCsvMatchesPerCellParser:
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbfa,b\n1,2\n", b"a,b\r\n1,2\r\n", b'"a",b\n1,2\n', b'a,b\n"1",2\n',
+        b"\xc3\xa1,b\n1,2\n", b"a,b\n1,\xef\xbc\x91\n", b"a,b\n1,\xff\n",
+        b"a\x00,b\n1,2\n", b"a\x0cb,c\n1,2\n", b"a\tb\n1\n", b"a,b\n1,2\x00\n",
+        b"\n\na,b\n\n1,2\n\n", b"a,b\n\n\n", b"a,b\n", b"a,b", b"", b"\n",
+        b"a,b\n1,2,\n", b"a,b\n1\n", b"a,prob\n1,1e500\n", b"a,prob\n1,0.5\n2,0.5",
+        b"1,2\n3,4\n", b"a,a\n1,2\n", b"a, \n1,2\n", b"prob\n1\n",
+    ])
+    def test_listed_files(self, tmp_path, data):
+        p = tmp_path / "t.csv"
+        p.write_bytes(data)
+        _assert_same_outcome(p)
+
+    @DIFFERENTIAL_BUDGET
     @given(scenario_files())
     def test_same_table_or_same_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "t.csv"
             p.write_bytes(data)
-            assert _load_outcome(load_csv, p) == _load_outcome(load_csv_per_cell, p)
+            _assert_same_outcome(p)
 
 
 class TestRoundTrip:
