@@ -119,150 +119,150 @@ def _record(name: str, violation: float, tolerance: float, witness: str) -> Chec
 
 def check_constant(nc, c: float) -> CheckRecord:
     """Constancy: the measure of a constant is the constant."""
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     law = EmpiricalDistribution(np.array([float(c)]), np.array([1.0]))
-    violation = abs(maxvar_choquet(law, n) - c)
+    violation = abs(maxvar_choquet(law, cc) - c)
     return _record(
-        "A1-constancy", violation, 1e-12 * max(1.0, abs(c)), f"c={c!r} n={n}"
+        "A1-constancy", violation, 1e-12 * max(1.0, abs(c)), f"c={c!r} n={cc.n}"
     )
 
 
 def check_subadditivity(t: ScenarioTable, nc) -> CheckRecord:
     """maxvar_n(X+Y) <= maxvar_n(X) + maxvar_n(Y) on the joint law of the
     table's columns ``x`` and ``y``."""
-    n = _copy_count(nc)
-    joint = maxvar_choquet(portfolio_law(t, X_PLUS_Y), n)
-    split = maxvar_choquet(portfolio_law(t, X), n) + maxvar_choquet(portfolio_law(t, Y), n)
+    cc = _copy_count(nc)
+    joint = maxvar_choquet(portfolio_law(t, X_PLUS_Y), cc)
+    split = maxvar_choquet(portfolio_law(t, X), cc) + maxvar_choquet(portfolio_law(t, Y), cc)
     return _record(
         "subadditivity",
         joint - split,
         1e-9,
-        f"scenarios={len(t.rows)} n={n} lhs={joint!r} rhs={split!r}",
+        f"scenarios={len(t.rows)} n={cc.n} lhs={joint!r} rhs={split!r}",
     )
 
 
 def check_monotonicity(t: ScenarioTable, nc) -> CheckRecord:
     """x <= y scenario-wise implies maxvar_n(X) <= maxvar_n(Y)."""
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     if np.any(t.column("x") > t.column("y")):
         raise PreconditionViolated("monotonicity needs x <= y in every scenario")
-    low = maxvar_choquet(portfolio_law(t, X), n)
-    high = maxvar_choquet(portfolio_law(t, Y), n)
+    low = maxvar_choquet(portfolio_law(t, X), cc)
+    high = maxvar_choquet(portfolio_law(t, Y), cc)
     return _record(
-        "A3-monotonicity", low - high, 1e-9, f"scenarios={len(t.rows)} n={n}"
+        "A3-monotonicity", low - high, 1e-9, f"scenarios={len(t.rows)} n={cc.n}"
     )
 
 
 def check_positive_homogeneity(d: EmpiricalDistribution, nc, lam: float) -> CheckRecord:
     """maxvar_n(lam X) = lam maxvar_n(X) for lam > 0."""
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise OutOfRange(f"lambda must be > 0, got {lam!r}")
-    base = maxvar_choquet(d, n)
-    scaled = maxvar_choquet(affine(d, lam, 0.0), n)
+    base = maxvar_choquet(d, cc)
+    scaled = maxvar_choquet(affine(d, lam, 0.0), cc)
     violation = abs(scaled - lam * base)
     return _record(
         "A5-positive-homogeneity",
         violation,
         1e-9 * max(1.0, abs(lam * base)),
-        f"lam={lam!r} n={n} atoms={d.atom_count}",
+        f"lam={lam!r} n={cc.n} atoms={d.atom_count}",
     )
 
 
 def check_translation(d: EmpiricalDistribution, nc, c: float) -> CheckRecord:
     """maxvar_n(X + c) = maxvar_n(X) + c."""
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     c = float(c)
-    shifted = maxvar_choquet(affine(d, 1.0, c), n)
-    violation = abs(shifted - maxvar_choquet(d, n) - c)
-    return _record("translation", violation, 1e-9, f"c={c!r} n={n} atoms={d.atom_count}")
+    shifted = maxvar_choquet(affine(d, 1.0, c), cc)
+    violation = abs(shifted - maxvar_choquet(d, cc) - c)
+    return _record("translation", violation, 1e-9, f"c={c!r} n={cc.n} atoms={d.atom_count}")
 
 
 def check_averseness(d: EmpiricalDistribution, nc) -> CheckRecord:
     """Strict averseness: maxvar_n(X) > E(X) for non-constant X, n >= 2."""
-    n = _copy_count(nc)
-    if n < 2:
+    cc = _copy_count(nc)
+    if cc.n < 2:
         raise PreconditionViolated("averseness needs n >= 2")
     if d.is_constant():
         raise PreconditionViolated("averseness needs a non-constant distribution")
-    margin = maxvar_choquet(d, n) - expectation(d)
+    margin = maxvar_choquet(d, cc) - expectation(d)
     # violation <= tolerance means margin >= 1e-12, i.e. strictly positive
     return _record(
         "A6-averseness",
         -margin,
         -1e-12,
-        f"margin={margin!r} n={n} atoms={d.atom_count}",
+        f"margin={margin!r} n={cc.n} atoms={d.atom_count}",
     )
 
 
 def check_l2_continuity(t: ScenarioTable, nc) -> CheckRecord:
     """Surrogate for closedness: |maxvar_n(X) - maxvar_n(Y)| <= n E|X - Y|."""
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     diff = abs(
-        maxvar_choquet(portfolio_law(t, X), n) - maxvar_choquet(portfolio_law(t, Y), n)
+        maxvar_choquet(portfolio_law(t, X), cc) - maxvar_choquet(portfolio_law(t, Y), cc)
     )
     mean_abs_diff = _sum(np.abs(t.column("x") - t.column("y")) * t.scenario_probs)
     return _record(
         "A4-surrogate",
-        diff - n * mean_abs_diff,
+        diff - cc.n * mean_abs_diff,
         1e-9,
-        f"scenarios={len(t.rows)} n={n}",
+        f"scenarios={len(t.rows)} n={cc.n}",
     )
 
 
 def _check_convexity(t: ScenarioTable, nc) -> CheckRecord:
     # implied by subadditivity + positive homogeneity; checked directly anyway
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     worst = -math.inf
     witness = ""
-    rx = maxvar_choquet(portfolio_law(t, X), n)
-    ry = maxvar_choquet(portfolio_law(t, Y), n)
+    rx = maxvar_choquet(portfolio_law(t, X), cc)
+    ry = maxvar_choquet(portfolio_law(t, Y), cc)
     for lam, mix in MIXES:
-        mixed = maxvar_choquet(portfolio_law(t, mix), n)
+        mixed = maxvar_choquet(portfolio_law(t, mix), cc)
         violation = mixed - (lam * rx + (1.0 - lam) * ry)
         if violation > worst:
             worst = violation
-            witness = f"lam={lam} scenarios={len(t.rows)} n={n}"
+            witness = f"lam={lam} scenarios={len(t.rows)} n={cc.n}"
     return _record("A2-convexity", worst, 1e-9, witness)
 
 
 def _check_abs_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     return _record(
         "abs-bound",
-        abs(maxvar_choquet(d, n)) - n * abs_expectation(d),
+        abs(maxvar_choquet(d, cc)) - cc.n * abs_expectation(d),
         1e-9,
-        f"n={n} atoms={d.atom_count}",
+        f"n={cc.n} atoms={d.atom_count}",
     )
 
 
 def _check_n_monotone(d: EmpiricalDistribution, nc) -> CheckRecord:
-    n = _copy_count(nc)
-    gap = maxvar_choquet(d, n) - maxvar_choquet(d, n + 1)
+    cc = _copy_count(nc)
+    gap = maxvar_choquet(d, cc) - maxvar_choquet(d, cc.n + 1)
     return _record(
-        "maxvar-n-monotone", gap, 1e-12, f"n={n} atoms={d.atom_count}"
+        "maxvar-n-monotone", gap, 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
 def _check_route_mixture(d: EmpiricalDistribution, nc) -> CheckRecord:
-    n = _copy_count(nc)
-    a = maxvar_choquet(d, n)
-    b = maxvar_mixture_exact(d, n)
+    cc = _copy_count(nc)
+    a = maxvar_choquet(d, cc)
+    b = maxvar_mixture_exact(d, cc)
     return _record(
         "route-mixture-exact",
         abs(a - b) / max(1.0, abs(a)),
         1e-9,
-        f"n={n} atoms={d.atom_count} choquet={a!r}",
+        f"n={cc.n} atoms={d.atom_count} choquet={a!r}",
     )
 
 
 def _check_route_spectral(d: EmpiricalDistribution, nc) -> CheckRecord:
-    n = _copy_count(nc)
-    a = maxvar_choquet(d, n)
-    b = maxvar_spectral(d, n)
+    cc = _copy_count(nc)
+    a = maxvar_choquet(d, cc)
+    b = maxvar_spectral(d, cc)
     return _record(
-        "route-spectral", abs(a - b), 1e-12, f"n={n} atoms={d.atom_count}"
+        "route-spectral", abs(a - b), 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
@@ -295,33 +295,33 @@ def _check_beta_star(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
 
 
 def _check_duality_strong(d: EmpiricalDistribution, nc) -> CheckRecord:
-    n = _copy_count(nc)
-    q = extremal_density(d, n)
-    gap = dual_gap(d, n, q)
+    cc = _copy_count(nc)
+    q = extremal_density(d, cc)
+    gap = dual_gap(d, cc, q)
     return _record(
-        "duality-strong-extremal", abs(gap), 1e-10, f"n={n} atoms={d.atom_count}"
+        "duality-strong-extremal", abs(gap), 1e-10, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
 def _check_core_tightness(d: EmpiricalDistribution, nc) -> CheckRecord:
     # the extremal density is tight on every upper-level set, so the largest
     # equality gap doubles as the membership violation here
-    n = _copy_count(nc)
-    report = core_check(d, n, extremal_density(d, n), collect_sets=False)
+    cc = _copy_count(nc)
+    report = core_check(d, cc, extremal_density(d, cc), collect_sets=False)
     return _record(
         "core-check-extremal",
         max(report.max_equality_gap, abs(report.mean_gap)),
         1e-9,
-        f"n={n} atoms={d.atom_count}",
+        f"n={cc.n} atoms={d.atom_count}",
     )
 
 
 def _check_envelope_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
-    n = _copy_count(nc)
-    q = extremal_density(d, n).q
-    worst = max(float(np.max(q)) - n, float(-np.min(q)))
+    cc = _copy_count(nc)
+    q = extremal_density(d, cc).q
+    worst = max(float(np.max(q)) - cc.n, float(-np.min(q)))
     return _record(
-        "envelope-bound", worst, 1e-12, f"n={n} atoms={d.atom_count}"
+        "envelope-bound", worst, 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
@@ -353,12 +353,12 @@ def _random_feasible_family(
 def _check_duality_weak(
     d: EmpiricalDistribution, nc, gen: np.random.Generator
 ) -> CheckRecord:
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     fam = _random_feasible_family(d, gen)
-    q = mixture_density(d, n, fam)
-    gap = dual_gap(d, n, q)
+    q = mixture_density(d, cc, fam)
+    gap = dual_gap(d, cc, q)
     return _record(
-        "duality-weak-random-family", -gap, 1e-9, f"n={n} atoms={d.atom_count}"
+        "duality-weak-random-family", -gap, 1e-9, f"n={cc.n} atoms={d.atom_count}"
     )
 
 

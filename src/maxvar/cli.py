@@ -306,7 +306,8 @@ def emit_curve(t: ScenarioTable, p: PortfolioSpec, alphas=None, ns=None) -> str:
         cvars = _cvar_at(law, levels)[0].tolist()
         rows = [f"{format_number(a)},{format_number(c)}" for a, c in zip(levels.tolist(), cvars)]
     else:
-        rows = [f"{n},{format_number(maxvar_choquet(law, n))}" for n in map(_copy_count, grid)]
+        counts = map(_copy_count, grid)
+        rows = [f"{cc.n},{format_number(maxvar_choquet(law, cc))}" for cc in counts]
     return _csv_lines("param,value", rows)
 
 

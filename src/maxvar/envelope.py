@@ -30,13 +30,11 @@ from .errors import (
     OutOfRange,
 )
 from .measures import (
+    CopyCount,
     RiskLevel,
     _alpha_value,
     _copy_count,
-    _layers,
     _var_index,
-    _weight_cdf_arr,
-    _weight_over_tail_arr,
     cvar_min,
     maxvar_choquet,
 )
@@ -164,11 +162,11 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
 
 def extremal_density(d: EmpiricalDistribution, nc) -> EnvelopeDensity:
     """The envelope element attaining sup E(XQ): q_k = (F_k^n - F_{k-1}^n)/p_k."""
-    n = _copy_count(nc)
-    if n == 1:
+    cc = _copy_count(nc)
+    if cc.n == 1:
         # the n = 1 envelope is the expectation dual: exactly the constant 1
         return EnvelopeDensity(np.ones(d.atom_count))
-    return EnvelopeDensity(_layers(d, n) / d.probs)
+    return EnvelopeDensity(cc.layers(d.cumulative) / d.probs)
 
 
 def cvar_extremal_density(d: EmpiricalDistribution, a) -> EnvelopeDensity:
@@ -204,17 +202,17 @@ class CoreCheckReport:
 
 
 def _upper_set_violations(
-    d: EmpiricalDistribution, n: int, q: np.ndarray
+    d: EmpiricalDistribution, cc: CopyCount, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed violations E(Q 1_A) - h(P(A)) over the upper-level sets of q,
     plus the descending-q atom order and each set's prefix-end index."""
     order = np.argsort(-q, kind="stable")
     sorted_q = q[order]
-    mass = np.minimum(np.cumsum(d.probs[order]), 1.0)
-    charge = np.cumsum(sorted_q * d.probs[order])
     ends = np.nonzero(np.append(sorted_q[:-1] > sorted_q[1:], True))[0]
-    violations = charge[ends] - (1.0 - (1.0 - mass[ends]) ** n)
-    return violations, order, ends
+    # read at the set ends at once, so no full-length prefix sum outlives its line
+    mass = np.minimum(np.cumsum(d.probs[order]), 1.0)[ends]
+    charge = np.cumsum(sorted_q * d.probs[order])[ends]
+    return charge - cc.h(mass), order, ends
 
 
 def core_check(
@@ -233,13 +231,13 @@ def core_check(
     O(m^2) references to m floats when all m sets are tight, as for the
     extremal density. Pass ``collect_sets=False`` on large laws to skip them.
     """
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     q = e.q
     if len(q) != d.atom_count:
         raise DimensionMismatch(
             f"density has {len(q)} entries, distribution has {d.atom_count} atoms"
         )
-    violations, order, ends = _upper_set_violations(d, n, q)
+    violations, order, ends = _upper_set_violations(d, cc, q)
     tight = ()
     if collect_sets:  # set j is the first j + 1 atoms to enter: a prefix of one tuple
         entered = tuple(d.values[order].tolist())
@@ -266,12 +264,12 @@ def mixture_density(
     For n = 1 the mixture degenerates to a point mass at level 0, so the
     result is the first segment evaluated there.
     """
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     _validate_family(d, fam)
-    if n == 1:
+    if cc.n == 1:
         return EnvelopeDensity(fam.flat[0] + fam.tail[0])
-    d_w = np.diff(_weight_cdf_arr(n, fam.bounds))[:, None]
-    d_v = np.diff(_weight_over_tail_arr(n, fam.bounds))[:, None]
+    d_w = np.diff(cc.weight_cdf(fam.bounds))[:, None]
+    d_v = np.diff(cc.tail_weight_cdf(fam.bounds))[:, None]
     terms = fam.flat * d_w
     terms += fam.tail * d_v
     # accumulate adds the rows one at a time in partition order, whatever the
@@ -339,11 +337,11 @@ def dual_gap(d: EmpiricalDistribution, nc, e: EnvelopeDensity) -> float:
     """maxvar_n(X) - E(XQ) for an envelope member; >= 0 up to rounding and
     zero for the extremal density. Raises NotInEnvelope when the membership
     check fails."""
-    n = _copy_count(nc)
-    report = core_check(d, n, e, collect_sets=False)
+    cc = _copy_count(nc)
+    report = core_check(d, cc, e, collect_sets=False)
     if not report.passed:
         raise NotInEnvelope(
             f"density fails membership: max violation {report.max_violation!r}, "
             f"mean gap {report.mean_gap!r}"
         )
-    return maxvar_choquet(d, n) - _attained(d, e.q)
+    return maxvar_choquet(d, cc) - _attained(d, e.q)

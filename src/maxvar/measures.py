@@ -13,7 +13,8 @@ Conventions, fixed once for the whole package:
   law it evaluates exactly as sum_k v_k (F_k^n - F_{k-1}^n).
 * maxvar_n is also the w_n-weighted mixture of CVaR over levels, with
   w_n(a) = n(n-1)(1-a)a^(n-2) and 0^0 = 1; the induced distortion is
-  h(x) = 1 - (1-x)^n.
+  h(x) = 1 - (1-x)^n. :class:`CopyCount` holds h, the layers, w_n, W and V,
+  and every route reads them from it.
 
 Summation is correctly rounded, via ``dist._sum``, and runs over atoms in
 ascending order, so cross-route comparisons have deterministic rounding.
@@ -36,7 +37,7 @@ from .dist import (
     affine,
     expectation,
 )
-from .errors import BudgetTooSmall, OutOfRange
+from .errors import BudgetTooSmall, NonFiniteValue, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -53,20 +54,64 @@ class RiskLevel:
         object.__setattr__(self, "alpha", a)
 
 
-def _copies(x) -> int:
-    # the one copy-count rule, for CopyCount and for a plain count alike; the
-    # routes compute in floats, and 2^128 keeps the weight's n(n-1) finite
-    return _integer(x, "copy count", 1, 2**128)
-
-
 @dataclass(frozen=True)
 class CopyCount:
-    """Number of i.i.d. copies; an integer in 1..2^128. Non-integers are rejected."""
+    """Number of i.i.d. copies; an integer in 1..2^128. Non-integers are rejected.
+
+    The one home of every expression in n. Its methods take a float or an
+    array and check nothing: h, the layers of F^n, the mixture weight w_n,
+    the tail weight w_n(a)/(1-a), their integrals W and V from 0, and the
+    maxima of runs of n uniforms.
+    """
 
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _copies(self.n))
+        # the routes compute in floats, and 2^128 keeps the weight's n(n-1) finite
+        object.__setattr__(self, "n", _integer(self.n, "copy count", 1, 2**128))
+
+    def h(self, x):
+        """The distortion h(x) = 1 - (1-x)^n: P(max of n copies lands in a
+        set of mass x)."""
+        return 1.0 - (1.0 - x) ** self.n
+
+    def layers(self, cumulative: np.ndarray) -> np.ndarray:
+        """F_k^n - F_{k-1}^n per atom from the cumulative probabilities F_k:
+        the law of the max of n copies.
+
+        F_0^n = 0, so the first layer is F_1^n itself; the others are the same
+        IEEE differences as ``np.diff(F**n, prepend=0.0)``, bit for bit."""
+        powered = cumulative**self.n
+        layers = np.empty_like(powered)
+        layers[0] = powered[0]
+        np.subtract(powered[1:], powered[:-1], out=layers[1:])
+        return layers
+
+    def weight(self, a):
+        """w_n(a) = n(n-1)(1-a)a^(n-2), with 0^0 = 1; a density only for n >= 2."""
+        n = self.n
+        return n * (n - 1) * (1.0 - a) * a ** (n - 2)
+
+    def tail_weight(self, a):
+        """w_n(a)/(1-a) = n(n-1)a^(n-2), formed without the division. Its
+        rounding differs from :meth:`weight`'s, so the two stay separate."""
+        n = self.n
+        return n * (n - 1) * a ** (n - 2)
+
+    def weight_cdf(self, a):
+        """W(a), the integral of w_n from 0 to a: n a^(n-1) - (n-1) a^n."""
+        n = self.n
+        return n * a ** (n - 1) - (n - 1) * a**n
+
+    def tail_weight_cdf(self, a):
+        """V(a), the integral of the tail weight w_n(t)/(1-t) from 0 to a:
+        n a^(n-1)."""
+        n = self.n
+        return n * a ** (n - 1)
+
+    def run_maxima(self, u: np.ndarray) -> np.ndarray:
+        """The max of each run of n consecutive entries of ``u``."""
+        return np.maximum.reduceat(u, np.arange(0, len(u), self.n))
 
 
 @dataclass(frozen=True)
@@ -109,16 +154,16 @@ def _alpha_value(a) -> float:
     return a.alpha if isinstance(a, RiskLevel) else RiskLevel(a).alpha
 
 
-def _copy_count(nc) -> int:
-    return nc.n if isinstance(nc, CopyCount) else _copies(nc)
+def _copy_count(nc) -> CopyCount:
+    return nc if isinstance(nc, CopyCount) else CopyCount(nc)
 
 
-def _mixture_copy_count(nc) -> int:
+def _mixture_copy_count(nc) -> CopyCount:
     # the w_n mixture has a weight density only for n >= 2
-    n = _copy_count(nc)
-    if n < 2:
+    cc = _copy_count(nc)
+    if cc.n < 2:
         raise OutOfRange("the mixture weight needs n >= 2; n = 1 is a point mass at alpha = 0")
-    return n
+    return cc
 
 
 def _trial_count(trials) -> int:
@@ -178,31 +223,17 @@ def weight(nc, alpha: float) -> float:
     0^0 = 1. Only defined for n >= 2; n = 1 has no density (the mixture
     degenerates to a point mass at alpha = 0, which the maxvar routes handle
     directly)."""
-    n = _mixture_copy_count(nc)
-    alpha = _unit_interval(alpha, "alpha")
-    return n * (n - 1) * (1.0 - alpha) * alpha ** (n - 2)
+    return _mixture_copy_count(nc).weight(_unit_interval(alpha, "alpha"))
 
 
 def weight_cdf(nc, alpha: float) -> float:
     """Closed-form integral of w_n from 0 to alpha: n a^(n-1) - (n-1) a^n."""
-    return _weight_cdf_arr(_mixture_copy_count(nc), _unit_interval(alpha, "alpha"))
-
-
-def _weight_cdf_arr(n: int, a):
-    # for a level or an array of them
-    return n * a ** (n - 1) - (n - 1) * a**n
-
-
-def _weight_over_tail_arr(n: int, a: np.ndarray) -> np.ndarray:
-    # integral of w_n(t)/(1-t) dt from 0 to a
-    return n * a ** (n - 1)
+    return _mixture_copy_count(nc).weight_cdf(_unit_interval(alpha, "alpha"))
 
 
 def distortion_h(nc, x: float) -> float:
     """Distortion reproducing maxvar as a Choquet integral: h(x) = 1 - (1-x)^n."""
-    n = _copy_count(nc)
-    x = _unit_interval(x, "distortion argument")
-    return 1.0 - (1.0 - x) ** n
+    return _copy_count(nc).h(_unit_interval(x, "distortion argument"))
 
 
 def distortion_via_weights(nc, x: float) -> float:
@@ -213,23 +244,11 @@ def distortion_via_weights(nc, x: float) -> float:
     :func:`distortion_h` analytically; kept separate as the independent
     route for the identity check.
     """
-    n = _mixture_copy_count(nc)
+    n = _mixture_copy_count(nc).n
     x = _unit_interval(x, "distortion argument")
     ramp = x * n * (1.0 - x) ** (n - 1)  # integral of x w_n/(1-a) over [0, 1-x]
     clamped = 1.0 - weight_cdf(n, 1.0 - x)  # integral of w_n over [1-x, 1]
     return ramp + clamped
-
-
-def _layers(d: EmpiricalDistribution, n: int) -> np.ndarray:
-    """F_k^n - F_{k-1}^n per atom: the law of the max of n copies.
-
-    F_0^n = 0, so the first layer is F_1^n itself; the others are the same
-    IEEE differences as ``np.diff(F**n, prepend=0.0)``, bit for bit."""
-    powered = d.cumulative**n
-    layers = np.empty_like(powered)
-    layers[0] = powered[0]
-    np.subtract(powered[1:], powered[:-1], out=layers[1:])
-    return layers
 
 
 def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
@@ -238,7 +257,7 @@ def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
     round, so exact monotonicity in n can fail by an ulp: on {0.01,
     0.010000000000000002} with equal mass, n = 2 gives 0.010000000000000002
     and n = 3 gives 0.01."""
-    return float(_sum(d.values * _layers(d, _copy_count(nc))))
+    return float(_sum(d.values * _copy_count(nc).layers(d.cumulative)))
 
 
 def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
@@ -252,7 +271,7 @@ def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
     """
     cum = d.cumulative
     atoms = d.values[np.searchsorted(cum, cum, side="left")]
-    return float(_sum(atoms * _layers(d, _copy_count(nc))))
+    return float(_sum(atoms * _copy_count(nc).layers(cum)))
 
 
 def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
@@ -262,15 +281,25 @@ def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
     minimizer beta* is the same atom, so (1-a) CVaR_a is linear in a and the
     integrand is a polynomial; the antiderivatives of w_n and w_n/(1-a) do
     the rest. Never divides by (1-a), so the a -> 1 endpoint is exact.
+    Raises NonFiniteValue when the sum leaves the float range.
     """
-    n = _copy_count(nc)
-    if n == 1:
+    cc = _copy_count(nc)
+    if cc.n == 1:
         return expectation(d)
     hi = d.cumulative
     lo = np.concatenate(([0.0], hi[:-1]))
-    d_w = _weight_cdf_arr(n, hi) - _weight_cdf_arr(n, lo)
-    d_tail = _weight_over_tail_arr(n, hi) - _weight_over_tail_arr(n, lo)
-    return float(_sum(d.values * d_w) + _sum(d.upper_tails * d_tail))
+    d_w = cc.weight_cdf(hi) - cc.weight_cdf(lo)
+    d_tail = cc.tail_weight_cdf(hi) - cc.tail_weight_cdf(lo)
+    # F can round to 1 below the top atom while S keeps its mass, so one
+    # stratum's dV can reach n and its tail product overflow
+    with np.errstate(over="ignore"):
+        try:
+            value = _sum(d.values * d_w) + _sum(d.upper_tails * d_tail)
+        except (OverflowError, ValueError):  # a partial sum past the float range
+            value = math.nan
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"the mixture-exact sum at n = {cc.n} leaves the float range")
+    return value
 
 
 def quadrature_breakpoints(d: EmpiricalDistribution) -> np.ndarray:
@@ -307,10 +336,10 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     approximation. All nodes go in one pass, as
     n(n-1)a^(n-2) ((1-a) VaR_a + E(X - VaR_a)_+): no 1/(1-a).
     """
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
     if not isinstance(q, QuadratureRule):
         raise OutOfRange("q must be a QuadratureRule")
-    if n == 1:
+    if cc.n == 1:
         return expectation(d)
     breaks = quadrature_breakpoints(d)
     if q.panels < len(breaks) + 1:
@@ -328,7 +357,7 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
     k = _var_index(d, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
+        integrand = cc.tail_weight(x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
         # one .tolist() for all panels: each short row is then fsummed as a list,
         # the same sums in the same order as over numpy rows, minus a scalar each
         rows = (gl_weights * integrand).tolist()
@@ -338,7 +367,7 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
         value = math.nan
     if math.isfinite(value):
         return value
-    return _RESCALE * maxvar_mixture_quad(affine(d, 1.0 / _RESCALE, 0.0), n, q)
+    return _RESCALE * maxvar_mixture_quad(affine(d, 1.0 / _RESCALE, 0.0), cc, q)
 
 
 def _mean_and_error(x: np.ndarray) -> tuple[float, float]:
@@ -367,7 +396,8 @@ def maxvar_mc(
     every trial's maximum is the same value, that value is the estimate and
     ``std_error`` is 0.0: a standard error of 0 means the estimate is exact.
     """
-    n = _copy_count(nc)
+    cc = _copy_count(nc)
+    n = cc.n
     trials = _trial_count(trials)
     try:
         u = s.uniforms(trials * n)
@@ -375,7 +405,7 @@ def maxvar_mc(
         raise OutOfRange(
             f"cannot draw trials x n = {trials} x {n} = {trials * n} uniforms"
         ) from exc
-    u = np.maximum.reduceat(u, np.arange(0, trials * n, n))
+    u = cc.run_maxima(u)
     # searching the maxima in ascending order is cheaper; scatter the atom
     # indices back into trial order, which np.std's rounding depends on
     order = np.argsort(u)
@@ -394,5 +424,4 @@ def maxvar_mc(
 
 def minvar(d: EmpiricalDistribution, nc) -> float:
     """Expected minimum of n i.i.d. copies, via minvar_n(X) = -maxvar_n(-X)."""
-    n = _copy_count(nc)
-    return -maxvar_choquet(affine(d, -1.0, 0.0), n)
+    return -maxvar_choquet(affine(d, -1.0, 0.0), _copy_count(nc))

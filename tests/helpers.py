@@ -12,6 +12,7 @@ import numpy as np
 from maxvar import (
     AllZeroWeights,
     BudgetTooSmall,
+    CopyCount,
     DimensionMismatch,
     EmptyInput,
     EmpiricalDistribution,
@@ -36,7 +37,7 @@ from maxvar import (
 from maxvar._serialize import format_rows
 from maxvar.cli import PROB_COLUMN
 from maxvar.envelope import _CORE_TOL, _upper_set_violations
-from maxvar.measures import _copy_count, _var_index, _weight_cdf_arr, _weight_over_tail_arr
+from maxvar.measures import _var_index
 
 
 def d4() -> EmpiricalDistribution:
@@ -163,9 +164,40 @@ def law_outcome(build, *args):
 
 
 def layers_by_diff(d: EmpiricalDistribution, n: int) -> np.ndarray:
-    """Reference that ``maxvar.measures._layers`` must match bit for bit:
+    """Reference that ``CopyCount.layers`` must match bit for bit:
     F_k^n - F_{k-1}^n as ``np.diff`` with a prepended 0."""
     return np.diff(d.cumulative**n, prepend=0.0)
+
+
+# Frozen copies of the expressions in n that ``CopyCount``'s methods must
+# match bit for bit: each operation order is the one the golden outputs and
+# benchmark digests were computed with. The references below read these,
+# never the library's own.
+
+
+def h_frozen(n: int, x):
+    return 1.0 - (1.0 - x) ** n
+
+
+def weight_frozen(n: int, a):  # w_n(a)
+    return n * (n - 1) * (1.0 - a) * a ** (n - 2)
+
+
+def tail_weight_frozen(n: int, a):  # w_n(a)/(1-a), in the quadrature's order
+    return n * (n - 1) * a ** (n - 2)
+
+
+def weight_cdf_frozen(n: int, a):  # W(a), the integral of w_n from 0
+    return n * a ** (n - 1) - (n - 1) * a**n
+
+
+def tail_weight_cdf_frozen(n: int, a):  # V(a), the integral of w_n/(1-t) from 0
+    return n * a ** (n - 1)
+
+
+def run_maxima_frozen(u: np.ndarray, n: int, trials: int) -> np.ndarray:
+    # the max of each of ``trials`` runs of n uniforms
+    return np.maximum.reduceat(u, np.arange(0, trials * n, n))
 
 
 def random_small_dist(rng: np.random.Generator, max_atoms: int = 6) -> EmpiricalDistribution:
@@ -307,18 +339,17 @@ def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> E
     q = np.zeros(m)
     for lo, hi, flat, tail in segments:
         bounds = np.array([lo, hi])
-        d_w = float(np.diff(_weight_cdf_arr(n, bounds))[0])
-        d_v = float(np.diff(_weight_over_tail_arr(n, bounds))[0])
+        d_w = float(np.diff(weight_cdf_frozen(n, bounds))[0])
+        d_v = float(np.diff(tail_weight_cdf_frozen(n, bounds))[0])
         q += flat * d_w + tail * d_v
     return EnvelopeDensity(q)
 
 
-def mixture_quad_per_panel(d: EmpiricalDistribution, nc, q: QuadratureRule) -> float:
+def mixture_quad_per_panel(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> float:
     """Reference that ``maxvar.maxvar_mixture_quad`` must match bit for bit:
     the Gauss-Legendre nodes are solved afresh on every call and each panel's
     numpy row is summed as it is. Sums use ``math.fsum``, which the library's
     exact sum matches bit for bit."""
-    n = _copy_count(nc)
     if n == 1:
         return expectation(d)
     breaks = quadrature_breakpoints(d)
@@ -336,7 +367,7 @@ def mixture_quad_per_panel(d: EmpiricalDistribution, nc, q: QuadratureRule) -> f
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
     k = _var_index(d, x)
-    integrand = n * (n - 1) * x ** (n - 2) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
+    integrand = tail_weight_frozen(n, x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
     return math.fsum([h * math.fsum(row) for h, row in zip(half[:, 0], gl_weights * integrand)])
 
 
@@ -344,7 +375,7 @@ def tight_sets_by_sort(d: EmpiricalDistribution, n: int, e: EnvelopeDensity) -> 
     """Set-equality reference for ``maxvar.core_check(...).tight_sets``:
     gather each tight upper-level set from the descending-q order and sort
     its values."""
-    violations, order, ends = _upper_set_violations(d, n, e.q)
+    violations, order, ends = _upper_set_violations(d, CopyCount(n), e.q)
     tight = []
     for j in ends[np.abs(violations) <= _CORE_TOL]:
         members = np.sort(d.values[order[: j + 1]])
@@ -356,7 +387,7 @@ def tight_sets_in_entry_order(d: EmpiricalDistribution, n: int, e: EnvelopeDensi
     """Reference for ``maxvar.core_check(...).tight_sets``, order included:
     the atoms stable-sorted by -q in plain Python (ties keep ascending value),
     and each tight set the first atoms of that order up to its end."""
-    violations, _, ends = _upper_set_violations(d, n, e.q)
+    violations, _, ends = _upper_set_violations(d, CopyCount(n), e.q)
     q = e.q.tolist()
     values = d.values.tolist()
     entered = [values[i] for i in sorted(range(len(q)), key=lambda i: -q[i])]

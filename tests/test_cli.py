@@ -758,6 +758,18 @@ class TestCliExitCodes:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "byte 7" in result.stderr
 
+    def test_mixture_exact_past_the_float_range_exits_two(self, tmp_path):
+        # cumulative rounds to 1 below the top atom, so the tail product of
+        # the first stratum overflows: one error line, no warning, no "inf"
+        law = tmp_path / "dust.csv"
+        law.write_text("loss,prob\n-1,1\n1e305,5e-17\n")
+        result = run_cli("maxvar", "--input", str(law), "--column", "loss",
+                         "--n", "100000000000000000000", "--method", "mixture-exact")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "error: the mixture-exact sum at n = 100000000000000000000 leaves the float range\n"
+        )
+
     def test_oversized_field_exits_two(self, tmp_path):
         big = write(tmp_path, 'loss\n1\n"' + "9" * 140_000 + '"\n')
         result = run_cli("maxvar", "--input", str(big), "--column", "loss", "--n", "2")

@@ -95,11 +95,17 @@ def _library_calls(d, n, alpha, scale):
     }
 
 
+# counts up to 64, past 2^53, at the bound 2^128 and past it
+COPIES = st.one_of(st.integers(1, 64), st.sampled_from([2**53 + 1, 2**128, 10**400]))
+
+
 @BUDGET
-@given(extreme_laws(), st.one_of(st.integers(1, 64), st.just(10**400)), LEVELS,
-       st.sampled_from([1e10, -1e10, 1e-10, 1e300, -1.0]))
+@given(extreme_laws(), COPIES, LEVELS, st.sampled_from([1e10, -1e10, 1e-10, 1e300, -1.0]))
 @example(from_samples([(1e300, 1.0), (-1e300, 1.0), (3e299, 1.0)]), 3, 0.5, 1e10)
 @example(from_samples([(1.0, 1.0), (4.0, 1.0)]), 10**400, 0.5, 1e10)
+# F rounds to 1 below the top atom while S keeps its mass: a mixture-exact
+# tail product past the float range
+@example(from_samples([(-1.0, 1.0), (1e287, 5e-17)]), 2**128, 0.5, 1e10)
 def test_library_raises_only_risk_errors(d, n, alpha, scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -146,7 +152,8 @@ def csv_texts(draw):
 
 BIG_N = "1" + "0" * 400  # past the copy-count bound and the float range
 COUNTS = st.sampled_from(["1", "2", "3", "33", "64", "128", "129", "100000", "9007199254740993",
-                          "100000000000000000000", BIG_N, "0", "2.5"])
+                          "100000000000000000000", "340282366920938463463374607431768211456",
+                          BIG_N, "0", "2.5"])
 
 
 @st.composite
@@ -182,6 +189,9 @@ def argvs(draw):
 @example("loss\n1e300\n-1e300\n3e299\n",
          ["maxvar", "--column", "loss", "--n", "3", "--method", "mc", "--trials", "10",
           "--seed", "1"])
+@example("loss,prob\n-1,1\n1e305,5e-17\n",
+         ["maxvar", "--column", "loss", "--n", "100000000000000000000",
+          "--method", "mixture-exact"])
 def test_cli_exits_with_one_line_or_a_document(text, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.csv"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxvar import (
     BudgetTooSmall,
     CopyCount,
+    NonFiniteValue,
     OutOfRange,
     QuadratureRule,
     RiskLevel,
@@ -31,7 +32,7 @@ from maxvar import (
     weight,
     weight_cdf,
 )
-from maxvar.measures import _gauss_legendre, _layers
+from maxvar.measures import _gauss_legendre
 
 from helpers import (
     bernoulli_half,
@@ -40,10 +41,16 @@ from helpers import (
     brute_force_minvar,
     d4,
     exact_maxvar,
+    h_frozen,
     layers_by_diff,
     mc_draw_then_max,
     mixture_quad_per_panel,
     random_small_dist,
+    run_maxima_frozen,
+    tail_weight_cdf_frozen,
+    tail_weight_frozen,
+    weight_cdf_frozen,
+    weight_frozen,
 )
 
 
@@ -72,6 +79,8 @@ def dust_laws(draw, max_atoms=12):
 
 alphas = st.floats(0.0, 0.999, allow_nan=False)
 copies = st.integers(1, 6)
+# counts past 2^53, where n - 1 no longer rounds apart from n, up to the bound
+huge_copies = st.sampled_from([2**53 + 1, 2**128])
 one_atom_laws = st.floats(-1e8, 1e8).map(lambda v: from_samples([(v, 1.0)]))
 
 
@@ -244,6 +253,53 @@ class TestDistortions:
                 assert abs(lhs - rhs) <= 1e-10, (n, x)
 
 
+# Entries of [0, 1] for the forms in n: its ends, the largest double below 1,
+# the smallest subnormal, probability dust and uniform draws.
+unit_entries = st.one_of(
+    st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53, 5e-324, 1e-300, 1e-20, 1e-16]),
+    st.floats(0.0, 1.0),
+)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestCopyCountForms:
+    """Each CopyCount method gives the bits of its frozen copy in helpers,
+    on arrays and on plain floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(unit_entries, min_size=1, max_size=20),
+           st.one_of(st.integers(1, 64), huge_copies))
+    def test_h_matches_frozen_form(self, entries, n):
+        cc = CopyCount(n)
+        for x in (np.array(entries), entries[0]):
+            assert_same_bits(cc.h(x), h_frozen(n, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(unit_entries, min_size=1, max_size=20),
+           st.one_of(st.integers(2, 64), huge_copies))
+    def test_weight_forms_match_frozen_forms(self, entries, n):
+        cc = CopyCount(n)
+        forms = (
+            (cc.weight, weight_frozen),
+            (cc.tail_weight, tail_weight_frozen),
+            (cc.weight_cdf, weight_cdf_frozen),
+            (cc.tail_weight_cdf, tail_weight_cdf_frozen),
+        )
+        for x in (np.array(entries), entries[0]):
+            for method, frozen in forms:
+                assert_same_bits(method(x), frozen(n, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 8), st.data())
+    def test_run_maxima_match_frozen_form(self, n, trials, data):
+        u = np.array(data.draw(st.lists(unit_entries, min_size=trials * n, max_size=trials * n)))
+        assert_same_bits(CopyCount(n).run_maxima(u), run_maxima_frozen(u, n, trials))
+
+
 class TestMaxvarRoutes:
     def test_constant_is_fixed_point(self):
         c = from_samples([(-3.7, 2)])
@@ -287,6 +343,15 @@ class TestMaxvarRoutes:
         a, b = maxvar_choquet(d, n), maxvar_mixture_exact(d, n)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
+    def test_mixture_exact_refuses_a_sum_past_the_float_range(self):
+        # F rounds to 1 below the top atom while S keeps its 5e-17, so the
+        # first stratum's dV is n and its tail product overflows
+        for top, n in ((1e287, 2**128), (1e305, 10**20)):
+            d = from_samples([(-1.0, 1.0), (top, 5e-17)])
+            with pytest.raises(NonFiniteValue, match=f"at n = {n} leaves the float range"):
+                maxvar_mixture_exact(d, n)
+            assert math.isfinite(maxvar_mixture_exact(d, 2))
+
     @given(laws(), st.integers(1, 5))
     # atoms a few ulps apart, where the rounded values tie or step down 1 ulp
     @example(from_samples([(-5e-324, 1), (0, 1)]), 1)
@@ -299,9 +364,10 @@ class TestMaxvarRoutes:
             assert exact_maxvar(d, n + 1) > exact_maxvar(d, n)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(laws(), dust_laws()), st.integers(1, 64))
+    @given(st.one_of(laws(), dust_laws()), st.one_of(st.integers(1, 64), huge_copies))
     def test_layers_match_diff_reference(self, d, n):
-        assert _layers(d, n).tobytes() == layers_by_diff(d, n).tobytes()
+        layers = CopyCount(n).layers(d.cumulative)
+        assert layers.tobytes() == layers_by_diff(d, n).tobytes()
 
     @given(laws(), copies)
     def test_abs_bound(self, d, n):
