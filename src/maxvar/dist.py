@@ -341,10 +341,16 @@ def affine(d: EmpiricalDistribution, scale: float, shift: float) -> EmpiricalDis
         return EmpiricalDistribution(np.array([shift]), np.array([1.0]))
     with np.errstate(over="ignore"):  # an overflowed value is rejected below
         new_values = d.values * scale + shift
-    # The map is strictly monotone, but rounding can collide neighbors;
-    # re-merge so the invariants survive.
-    uniq, inverse = np.unique(new_values, return_inverse=True)
-    merged = np.bincount(inverse, weights=d.probs, minlength=len(uniq))
+    # The map is monotone, so the new values are already in order and only
+    # neighbours that round together collide: keep each run's first value and
+    # sum its weights in atom order.
+    first = np.empty(len(new_values), dtype=bool)
+    first[0] = True
+    np.not_equal(new_values[1:], new_values[:-1], out=first[1:])
+    uniq = new_values[first]
+    merged = np.bincount(np.cumsum(first) - 1, weights=d.probs)
+    if scale < 0.0:
+        uniq, merged = uniq[::-1], merged[::-1]
     return EmpiricalDistribution(uniq, merged)
 
 

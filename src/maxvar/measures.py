@@ -174,10 +174,13 @@ def _trial_count(trials) -> int:
 
 
 def _var_index(d: EmpiricalDistribution, alpha):
-    # the smallest k with surv[k] < 1 - alpha, for a level or an array of them
-    # (surv descends, so search its negation); a level of 1.0 reads the top atom
-    k = np.searchsorted(-d.survival, -(1.0 - alpha), side="right")
-    return np.minimum(k, d.atom_count - 1)
+    # the smallest k with surv[k] < 1 - alpha, for a level or an array of them:
+    # surv descends, so k counts the atoms with surv >= 1 - alpha, found by one
+    # search of its ascending reversed view (no copy); a level of 1.0 reads the
+    # top atom
+    m = d.atom_count
+    k = m - np.searchsorted(d.survival[::-1], 1.0 - alpha, side="left")
+    return np.minimum(k, m - 1)
 
 
 def var(d: EmpiricalDistribution, a) -> float:
@@ -260,17 +263,28 @@ def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
     return float(_sum(d.values * _copy_count(nc).layers(d.cumulative)))
 
 
+def _left_quantile_index(cum: np.ndarray) -> np.ndarray:
+    # per entry of the nondecreasing levels, the first index of its run of
+    # equal levels (searchsorted(cum, cum) in one pass): the running max of
+    # the run starts, with 0 off them
+    left = np.arange(len(cum))
+    left[1:][cum[1:] == cum[:-1]] = 0
+    np.maximum.accumulate(left, out=left)
+    return left
+
+
 def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
     """Maxvar through the quantile layer: integral of quantile(u) n u^(n-1) du,
     evaluated atom-wise.
 
     This is the :func:`maxvar_choquet` sum reindexed through the left quantile
-    at each cumulative level. The reindex moves only atoms on tied cumulative
-    levels, whose layer is exactly zero, so the two sums are identical term
-    by term: the ``route-spectral`` check is not an independent cross-check.
+    at each cumulative level, the first atom of its run of tied levels. The
+    reindex moves only atoms on tied cumulative levels, whose layer is exactly
+    zero, so the two sums are identical term by term: the ``route-spectral``
+    check is not an independent cross-check.
     """
     cum = d.cumulative
-    atoms = d.values[np.searchsorted(cum, cum, side="left")]
+    atoms = d.values[_left_quantile_index(cum)]
     return float(_sum(atoms * _copy_count(nc).layers(cum)))
 
 
@@ -286,10 +300,10 @@ def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
     cc = _copy_count(nc)
     if cc.n == 1:
         return expectation(d)
-    hi = d.cumulative
-    lo = np.concatenate(([0.0], hi[:-1]))
-    d_w = cc.weight_cdf(hi) - cc.weight_cdf(lo)
-    d_tail = cc.tail_weight_cdf(hi) - cc.tail_weight_cdf(lo)
+    # the strata's ends 0 = F_0 <= F_1 <= ... <= F_m = 1: W and V once at each
+    ends = np.concatenate(([0.0], d.cumulative))
+    d_w = np.diff(cc.weight_cdf(ends))
+    d_tail = np.diff(cc.tail_weight_cdf(ends))
     # F can round to 1 below the top atom while S keeps its mass, so one
     # stratum's dV can reach n and its tail product overflow
     with np.errstate(over="ignore"):

@@ -200,6 +200,74 @@ def run_maxima_frozen(u: np.ndarray, n: int, trials: int) -> np.ndarray:
     return np.maximum.reduceat(u, np.arange(0, trials * n, n))
 
 
+# Frozen copies of the per-law paths that ``affine``, ``_var_index``,
+# ``maxvar_spectral`` and ``maxvar_mixture_exact`` must match bit for bit, in
+# the full-length passes they used to make.
+
+
+def affine_by_unique(d: EmpiricalDistribution, scale, shift) -> EmpiricalDistribution:
+    """Reference for ``maxvar.affine``: the new values merged by ``np.unique``
+    and each merged atom's weights summed in atom order by ``np.bincount``
+    over its inverse, then built by the validating constructor.
+    ``return_index`` makes ``np.unique`` sort stably, so a run that mixes
+    0.0 and -0.0 keeps its first atom's value; its default sort keeps no
+    order among equal keys, which under a negative scale left that sign to
+    the sort."""
+    scale = float(scale)
+    shift = float(shift)
+    if not (math.isfinite(scale) and math.isfinite(shift)):
+        raise NonFiniteValue("scale and shift must be finite")
+    if scale == 0.0:
+        return EmpiricalDistribution(np.array([shift]), np.array([1.0]))
+    with np.errstate(over="ignore"):
+        new_values = d.values * scale + shift
+    uniq, _, inverse = np.unique(new_values, return_index=True, return_inverse=True)
+    merged = np.bincount(inverse, weights=d.probs, minlength=len(uniq))
+    return EmpiricalDistribution(uniq, merged)
+
+
+def var_index_by_negation(d: EmpiricalDistribution, alpha):
+    # the smallest k with surv[k] < 1 - alpha, searched on the negated survival
+    k = np.searchsorted(-d.survival, -(1.0 - alpha), side="right")
+    return np.minimum(k, d.atom_count - 1)
+
+
+def left_quantile_index_by_search(cum: np.ndarray) -> np.ndarray:
+    # the first index whose level reaches each level
+    return np.searchsorted(cum, cum, side="left")
+
+
+def spectral_by_search(d: EmpiricalDistribution, n: int) -> float:
+    """Reference that ``maxvar.maxvar_spectral`` must match bit for bit: the
+    layers reindexed by a search of the cumulative levels for themselves.
+    Sums use ``math.fsum``, which the library's exact sum matches bit for
+    bit."""
+    cum = d.cumulative
+    atoms = d.values[left_quantile_index_by_search(cum)]
+    return math.fsum(atoms * layers_by_diff(d, n))
+
+
+def mixture_exact_at_both_ends(d: EmpiricalDistribution, n: int) -> float:
+    """Reference that ``maxvar.maxvar_mixture_exact`` must match bit for bit,
+    and in the type and message of the error it raises: W and V evaluated at
+    each stratum's upper end and again at its lower end. Sums use
+    ``math.fsum``, which the library's exact sum matches bit for bit."""
+    if n == 1:
+        return expectation(d)
+    hi = d.cumulative
+    lo = np.concatenate(([0.0], hi[:-1]))
+    d_w = weight_cdf_frozen(n, hi) - weight_cdf_frozen(n, lo)
+    d_tail = tail_weight_cdf_frozen(n, hi) - tail_weight_cdf_frozen(n, lo)
+    with np.errstate(over="ignore"):
+        try:
+            value = math.fsum(d.values * d_w) + math.fsum(d.upper_tails * d_tail)
+        except (OverflowError, ValueError):
+            value = math.nan
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"the mixture-exact sum at n = {n} leaves the float range")
+    return value
+
+
 def random_small_dist(rng: np.random.Generator, max_atoms: int = 6) -> EmpiricalDistribution:
     m = int(rng.integers(1, max_atoms + 1))
     values = rng.uniform(-100.0, 100.0, size=m)

@@ -26,7 +26,13 @@ from maxvar import (
 )
 from maxvar.dist import _SUM_CHUNK, _SUM_MIN_SIZE, _sum
 
-from helpers import d4, from_samples_validated, law_outcome, portfolio_law_via_pairs
+from helpers import (
+    affine_by_unique,
+    d4,
+    from_samples_validated,
+    law_outcome,
+    portfolio_law_via_pairs,
+)
 
 
 def finite_floats(lo=-100.0, hi=100.0):
@@ -58,6 +64,35 @@ pair_weights = st.one_of(st.just(0.0), st.floats(1e-320, 1e300))
 def sample_rows(draw):
     rows = draw(st.lists(st.tuples(pool_values, pair_weights), min_size=1, max_size=12))
     return np.array(rows) if draw(st.booleans()) else rows
+
+
+@st.composite
+def affine_laws(draw):
+    # pool values (both zeros, subnormals, near the float range) or uniform
+    # ones, with masses down to dust; up to 40 atoms, so that a colliding map
+    # merges runs long enough for the order of each run's sum to show
+    m = draw(st.integers(1, 40))
+    values = draw(st.lists(pool_values, min_size=m, max_size=m))
+    exponents = draw(st.lists(st.floats(-300.0, 0.0), min_size=m, max_size=m))
+    return from_samples([(v, 10.0**e) for v, e in zip(values, exponents)])
+
+
+# maps that collide neighbours (a shift that swallows the values, products
+# that underflow to 0.0 or -0.0 around a -0.0 shift), reverse the order,
+# overflow, or are not finite
+affine_scales = st.one_of(
+    st.sampled_from((1.0, -1.0, -0.5, 1e-17, 5e-324, -5e-324, 1e-300, -1e-300, 1e10, 0.0)),
+    finite_floats(-1e10, 1e10),
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+)
+affine_shifts = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 1e17, 1e-300, -1e-300, 1e308, -1e308)),
+    finite_floats(-1e8, 1e8),
+    st.sampled_from((math.inf, math.nan)),
+)
+affine_maps = st.one_of(
+    st.sampled_from(((1e-17, 1e17), (-5e-324, -1e-300))), st.tuples(affine_scales, affine_shifts)
+)
 
 
 @st.composite
@@ -247,6 +282,19 @@ class TestAffine:
         # a finite scale whose products overflow: the error, and no warning
         with pytest.raises(NonFiniteValue):
             affine(from_samples([(1e300, 1), (2e300, 1)]), 1e10, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(affine_laws(), affine_maps)
+    # every atom collides into 1e17: the one run's weights must be summed in
+    # atom order (a pairwise sum of these twelve gives 1.0, not 1 - 2^-53)
+    @example(from_samples([(i, w) for i, w in enumerate((5, 8, 3, 5, 8, 2, 3, 2, 5, 9, 2, 4))]),
+             (1e-17, 1e17))
+    # products that underflow to 0.0 and -0.0 merge into the first atom's zero
+    @example(from_samples([(-1e-300, 1), (0.0, 2), (1e-300, 3)]), (-1e-300, -0.0))
+    def test_matches_unique_merge(self, d, scale_shift):
+        scale, shift = scale_shift
+        got = law_outcome(affine, d, scale, shift)
+        assert got == law_outcome(affine_by_unique, d, scale, shift)
 
 
 class TestSampler:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from maxvar import (
     NonFiniteValue,
     OutOfRange,
     QuadratureRule,
+    RiskError,
     RiskLevel,
     SeededSampler,
     abs_expectation,
@@ -32,7 +34,7 @@ from maxvar import (
     weight,
     weight_cdf,
 )
-from maxvar.measures import _gauss_legendre
+from maxvar.measures import _gauss_legendre, _left_quantile_index, _var_index
 
 from helpers import (
     bernoulli_half,
@@ -43,12 +45,16 @@ from helpers import (
     exact_maxvar,
     h_frozen,
     layers_by_diff,
+    left_quantile_index_by_search,
     mc_draw_then_max,
+    mixture_exact_at_both_ends,
     mixture_quad_per_panel,
     random_small_dist,
     run_maxima_frozen,
+    spectral_by_search,
     tail_weight_cdf_frozen,
     tail_weight_frozen,
+    var_index_by_negation,
     weight_cdf_frozen,
     weight_frozen,
 )
@@ -189,6 +195,24 @@ class TestCvar:
         # strict for alpha > 0 on a non-constant law
         assert cvar_min(d, 0.25).value > expectation(d)
 
+    def test_reads_allocate_constant_memory(self):
+        # one search of the survival array's reversed view, which is not
+        # copied: once the law's arrays are cached, var and cvar_min allocate
+        # a few scalars, where one copy of an array of 1e5 atoms is 800 kB
+        rng = np.random.default_rng(5)
+        m = 100_000
+        d = from_samples(np.column_stack([rng.standard_normal(m), rng.uniform(0.5, 1.0, m)]))
+        cvar_min(d, 0.5)  # caches the survival and tail arrays
+        tracemalloc.start()
+        try:
+            for alpha in (0.0, 0.5, 0.99, 1.0 - 1e-12):
+                var(d, alpha)
+                cvar_min(d, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_384
+
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(5)
         cases = []
@@ -298,6 +322,57 @@ class TestCopyCountForms:
     def test_run_maxima_match_frozen_form(self, n, trials, data):
         u = np.array(data.draw(st.lists(unit_entries, min_size=trials * n, max_size=trials * n)))
         assert_same_bits(CopyCount(n).run_maxima(u), run_maxima_frozen(u, n, trials))
+
+
+def route_outcome(route, *args):
+    # the result's type and bits, or the type and message of its typed error
+    try:
+        value = route(*args)
+    except RiskError as exc:
+        return type(exc), str(exc)
+    return type(value), np.float64(value).tobytes()
+
+
+class TestPerLawPathsMatchFrozenCopies:
+    """The VaR index, the left-quantile reindex and mixture-exact's W and V
+    give the bits of their frozen full-length copies in helpers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(laws(), dust_laws()), st.data())
+    def test_var_index_matches_negated_search(self, d, data):
+        levels = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53, 1.0 - 1e-12, 1.0]),
+            st.floats(0.0, 1.0),
+            # 1 - S_k, which is S_k's level exactly when S_k >= 0.5
+            st.sampled_from([1.0 - s for s in d.survival.tolist()]),
+        )
+        alpha = data.draw(levels)
+        assert_same_bits(_var_index(d, alpha), var_index_by_negation(d, alpha))
+        grid = np.array(data.draw(st.lists(levels, min_size=6, max_size=6)))
+        for x in (grid, grid.reshape(2, 3)):  # mixture-quad reads a 2-d grid
+            assert_same_bits(_var_index(d, x), var_index_by_negation(d, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.one_of(laws(), dust_laws()).map(lambda d: d.cumulative),
+            # levels with long runs of ties, as dust on a clipped cumulative makes
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=20).map(
+                lambda x: np.array(sorted(x))
+            ),
+        )
+    )
+    def test_left_quantile_index_matches_search(self, cum):
+        assert_same_bits(_left_quantile_index(cum), left_quantile_index_by_search(cum))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(laws(), dust_laws()), st.one_of(st.integers(1, 64), huge_copies))
+    # the dust stratum's tail product overflows: the same error
+    @example(from_samples([(-1.0, 1.0), (1e287, 5e-17)]), 2**128)
+    def test_routes_match_frozen_copies(self, d, n):
+        assert route_outcome(maxvar_spectral, d, n) == route_outcome(spectral_by_search, d, n)
+        want = route_outcome(mixture_exact_at_both_ends, d, n)
+        assert route_outcome(maxvar_mixture_exact, d, n) == want
 
 
 class TestMaxvarRoutes:
