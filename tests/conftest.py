@@ -1,11 +1,21 @@
 """Hypothesis profiles for the suite.
 
 Tier-1 runs under Hypothesis's default profile. ``--hypothesis-profile=fuzz``
-runs the error-contract properties of ``test_fuzz.py`` and ``load_csv``'s
-differential against the per-cell parser (``test_cli.py``) with many more
-examples and no deadline; CI runs those three that way in a step of their own.
+runs the error-contract properties of ``test_fuzz.py``, ``load_csv``'s
+differential against the per-cell parser (``test_cli.py``) and ``_sum``'s
+against ``math.fsum`` (``test_dist.py``) with many more examples and no
+deadline; CI runs those four that way in a step of their own. Each takes
+its settings from :func:`tier1_budget`.
 """
 
 from hypothesis import settings
 
 settings.register_profile("fuzz", max_examples=3000, deadline=None)
+
+
+def tier1_budget(examples: int) -> settings:
+    """``examples`` examples and no deadline in tier-1; the fuzz profile's
+    own settings under ``--hypothesis-profile=fuzz``."""
+    if settings.get_current_profile_name() == "fuzz":
+        return settings()
+    return settings(max_examples=examples, deadline=None)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from maxvar import (
@@ -41,6 +41,7 @@ from maxvar.cli import (
     sample_data_path,
 )
 
+from conftest import tier1_budget
 from helpers import emit_table, load_csv_per_cell
 
 DATA = Path(__file__).parent / "data"
@@ -267,13 +268,6 @@ def _assert_same_outcome(path):
         assert _load_outcome(load_csv, path) == _load_outcome(load_csv_per_cell, path)
 
 
-# 300 examples in tier-1; the fuzz profile's own under --hypothesis-profile=fuzz.
-DIFFERENTIAL_BUDGET = (
-    settings() if settings.get_current_profile_name() == "fuzz"
-    else settings(max_examples=300, deadline=None)
-)
-
-
 class TestLoadCsvMatchesPerCellParser:
     @pytest.mark.parametrize("data", [
         b"\xef\xbb\xbfa,b\n1,2\n", b"a,b\r\n1,2\r\n", b'"a",b\n1,2\n', b'a,b\n"1",2\n',
@@ -288,7 +282,7 @@ class TestLoadCsvMatchesPerCellParser:
         p.write_bytes(data)
         _assert_same_outcome(p)
 
-    @DIFFERENTIAL_BUDGET
+    @tier1_budget(300)
     @given(scenario_files())
     def test_same_table_or_same_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:

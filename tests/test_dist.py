@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from maxvar import (
     AllZeroWeights,
+    CopyCount,
     EmpiricalDistribution,
     EmptyInput,
     NegativeProb,
@@ -26,6 +27,7 @@ from maxvar import (
 )
 from maxvar.dist import _SUM_CHUNK, _SUM_MIN_SIZE, _sum
 
+from conftest import tier1_budget
 from helpers import (
     affine_by_unique,
     d4,
@@ -296,6 +298,31 @@ class TestAffine:
         got = law_outcome(affine, d, scale, shift)
         assert got == law_outcome(affine_by_unique, d, scale, shift)
 
+    @settings(max_examples=300, deadline=None)
+    @given(affine_laws(), st.sampled_from([-1.0, 1.0, -0.5, 0.5]))
+    # a -0.0 atom with dust beside it, and subnormal atoms around zero
+    @example(from_samples([(-0.0, 1.0), (1.0, 1e-300)]), -1.0)
+    @example(from_samples([(-5e-324, 1.0), (0.0, 1e-300), (5e-324, 2.0)]), -1.0)
+    def test_unmerged_maps_match_frozen_copy(self, d, scale):
+        # these maps never overflow, and those that merge no atom skip the
+        # checking constructor; the law, cumulative levels included, is
+        # still the one it built
+        got = law_outcome(affine, d, scale, 0.0)
+        assert got == law_outcome(affine_by_unique, d, scale, 0.0)
+        cum, ref = affine(d, scale, 0.0).cumulative, affine_by_unique(d, scale, 0.0).cumulative
+        assert cum.tobytes() == ref.tobytes()
+
+    def test_negation_skips_the_checking_constructor(self, monkeypatch):
+        # minvar's -X merges no atom, so it never pays the constructor
+        d = from_samples([(-0.0, 1.0), (1e-300, 1e-300), (3.0, 2.0)])
+        want = law_outcome(affine_by_unique, d, -1.0, 0.0)
+
+        def no_checks(self):
+            raise AssertionError("the checking constructor was called")
+
+        monkeypatch.setattr(EmpiricalDistribution, "__post_init__", no_checks)
+        assert law_outcome(affine, d, -1.0, 0.0) == want
+
 
 class TestSampler:
     def test_degenerate_law(self):
@@ -355,8 +382,10 @@ class TestSampler:
             assert abs(emp - f) <= eps
 
 
-# Lengths on both sides of the fsum cut-off and of a chunk boundary, and
-# the empty and one-element arrays of the short-array path.
+# Lengths on both sides of the fsum cut-off and of a chunk boundary, on
+# both sides of a step of the certified path's 2**b (the least power of two
+# above n + 2), one above 2**17, and the empty and one-element arrays of the
+# short-array path.
 SUM_LENGTHS = (
     0,
     1,
@@ -364,10 +393,15 @@ SUM_LENGTHS = (
     _SUM_MIN_SIZE - 1,
     _SUM_MIN_SIZE,
     _SUM_MIN_SIZE + 1,
+    2**10 - 3,
+    2**10 - 2,
     _SUM_CHUNK - 1,
     _SUM_CHUNK,
     _SUM_CHUNK + 1,
+    2**15 - 3,
+    2**15 - 2,
     2 * _SUM_CHUNK + 7,
+    2**17 + 5,
 )
 
 
@@ -382,7 +416,7 @@ def sum_outcome(f, x):
 @st.composite
 def sum_inputs(draw):
     n = draw(st.sampled_from(SUM_LENGTHS))
-    kind = draw(st.sampled_from(["cancel", "subnormal", "wide", "zeros", "drawn"]))
+    kind = draw(st.sampled_from(["cancel", "subnormal", "wide", "zeros", "midpoint", "drawn"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "cancel":
         half = max(n - 1, 0) // 2
@@ -396,6 +430,18 @@ def sum_inputs(draw):
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
     elif kind == "zeros":
         x = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])), 0.0, -0.0)
+    elif kind == "midpoint":
+        # integers around 2**60, where floats are 2**7 or 2**8 apart, and a
+        # last term that puts the exact sum on the midpoint between the two
+        # floats around it, or a little to one side; then all scaled by a
+        # power of two, which keeps the midpoint
+        body = rng.integers(-(2**40), 2**40, max(n - 2, 0))
+        partial = 2**60 + int(body.sum())
+        gap = 2 ** (partial.bit_length() - 53)
+        offset = draw(st.sampled_from([0.0, 2.0**-20, -(2.0**-20), 1.0, -1.0]))
+        last = float(gap // 2 - partial % gap) + offset
+        x = np.concatenate([[2.0**60], body.astype(float), [last]])[:n]
+        x = np.ldexp(rng.permutation(x), draw(st.integers(-300, 300)))
     else:
         # few distinct values repeated: infinities, nan and 1e308 included
         x = np.resize(np.array(draw(st.lists(st.floats(), min_size=1, max_size=6))), n)
@@ -405,7 +451,7 @@ def sum_inputs(draw):
 
 
 class TestExactSum:
-    @settings(max_examples=300, deadline=None)
+    @tier1_budget(300)
     @given(sum_inputs())
     def test_bit_identical_to_fsum(self, x):
         assert sum_outcome(_sum, x) == sum_outcome(math.fsum, x)
@@ -427,3 +473,42 @@ class TestExactSum:
 
         monkeypatch.setattr(math, "fsum", no_fsum)
         assert _sum(x) == expected
+
+    def test_route_sums_take_the_certified_path(self, monkeypatch):
+        # a 1e5-atom law's probabilities, its mean's terms and its Choquet
+        # terms (values times the layers F_k^n - F_{k-1}^n)
+        rng = np.random.default_rng(19)
+        d = from_samples(np.column_stack([rng.standard_normal(10**5), rng.random(10**5)]))
+        arrays = [d.probs, d.values * d.probs]
+        arrays += [d.values * CopyCount(n).layers(d.cumulative) for n in (2, 5, 64)]
+        expected = [math.fsum(x).hex() for x in arrays]
+
+        def no_fsum(values):
+            raise AssertionError("the certificate refused a route's sum")
+
+        monkeypatch.setattr(math, "fsum", no_fsum)
+        assert [_sum(x).hex() for x in arrays] == expected
+
+    def test_ties_and_cancellation_fall_back_to_fsum(self, monkeypatch):
+        # 2**53 + 1 and 2**53 + 3 lie halfway between two floats (fsum rounds
+        # them to even), y - y is exactly zero in any order, and zeros span
+        # more than one chunk of the fallback's lists
+        tie_down, tie_up = np.zeros(1000), np.zeros(1000)
+        tie_down[:2] = 2.0**53, 1.0
+        tie_up[:2] = 2.0**53, 3.0
+        y = np.random.default_rng(5).standard_normal(800) * 10.0 ** np.arange(-8.0, 8.0).repeat(50)
+        cancel = np.random.default_rng(6).permutation(np.concatenate([y, -y]))
+        zeros = np.where(np.arange(2 * _SUM_CHUNK + 7) % 3 == 0, -0.0, 0.0)
+        arrays = (tie_down, tie_up, cancel, zeros)
+        expected = [math.fsum(x).hex() for x in arrays]
+        sizes = []
+        fsum = math.fsum
+
+        def recorded(values):
+            values = list(values)
+            sizes.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", recorded)
+        assert [_sum(x).hex() for x in arrays] == expected
+        assert sizes == [1000, 1000, 1600, 2 * _SUM_CHUNK + 7]

@@ -43,11 +43,9 @@ from maxvar import (
 )
 from maxvar.cli import main
 
-# A small budget in tier-1; the fuzz profile's own under --hypothesis-profile=fuzz.
-BUDGET = (
-    settings() if settings.get_current_profile_name() == "fuzz"
-    else settings(max_examples=40, deadline=None)
-)
+from conftest import tier1_budget
+
+BUDGET = tier1_budget(40)
 
 # Levels from 0 up to the largest double below 1.
 LEVELS = st.one_of(
