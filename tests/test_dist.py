@@ -93,7 +93,8 @@ affine_shifts = st.one_of(
     st.sampled_from((math.inf, math.nan)),
 )
 affine_maps = st.one_of(
-    st.sampled_from(((1e-17, 1e17), (-5e-324, -1e-300))), st.tuples(affine_scales, affine_shifts)
+    st.sampled_from(((1e-17, 1e17), (-5e-324, -1e-300), (-1.0, 0.0))),
+    st.tuples(affine_scales, affine_shifts),
 )
 
 
@@ -293,24 +294,17 @@ class TestAffine:
              (1e-17, 1e17))
     # products that underflow to 0.0 and -0.0 merge into the first atom's zero
     @example(from_samples([(-1e-300, 1), (0.0, 2), (1e-300, 3)]), (-1e-300, -0.0))
+    # minvar's -X of a -0.0 atom with dust beside it, and of subnormal atoms
+    # around zero: no atom merges, so the constructor is skipped
+    @example(from_samples([(-0.0, 1.0), (1.0, 1e-300)]), (-1.0, 0.0))
+    @example(from_samples([(-5e-324, 1.0), (0.0, 1e-300), (5e-324, 2.0)]), (-1.0, 0.0))
     def test_matches_unique_merge(self, d, scale_shift):
         scale, shift = scale_shift
         got = law_outcome(affine, d, scale, shift)
         assert got == law_outcome(affine_by_unique, d, scale, shift)
-
-    @settings(max_examples=300, deadline=None)
-    @given(affine_laws(), st.sampled_from([-1.0, 1.0, -0.5, 0.5]))
-    # a -0.0 atom with dust beside it, and subnormal atoms around zero
-    @example(from_samples([(-0.0, 1.0), (1.0, 1e-300)]), -1.0)
-    @example(from_samples([(-5e-324, 1.0), (0.0, 1e-300), (5e-324, 2.0)]), -1.0)
-    def test_unmerged_maps_match_frozen_copy(self, d, scale):
-        # these maps never overflow, and those that merge no atom skip the
-        # checking constructor; the law, cumulative levels included, is
-        # still the one it built
-        got = law_outcome(affine, d, scale, 0.0)
-        assert got == law_outcome(affine_by_unique, d, scale, 0.0)
-        cum, ref = affine(d, scale, 0.0).cumulative, affine_by_unique(d, scale, 0.0).cumulative
-        assert cum.tobytes() == ref.tobytes()
+        if not isinstance(got[0], type):  # a law, not an error: its levels too
+            cum, ref = (f(d, scale, shift).cumulative for f in (affine, affine_by_unique))
+            assert cum.tobytes() == ref.tobytes()
 
     def test_negation_skips_the_checking_constructor(self, monkeypatch):
         # minvar's -X merges no atom, so it never pays the constructor
