@@ -293,6 +293,13 @@ class SeededSampler:
         """Next ``count`` uniforms in [0, 1) from this stream."""
         return self._gen.random(_integer(count, "count", 0))
 
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Overwrite the contiguous float64 array ``out`` with the next
+        ``out.size`` uniforms and return it. numpy makes each uniform from
+        one 64-bit output of the stream, so filling buffers in turn gives
+        the same bits as one :meth:`uniforms` call of their total size."""
+        return self._gen.random(out=out)
+
     def generator(self) -> np.random.Generator:
         """The underlying generator, for structured draws in test harnesses."""
         return self._gen
@@ -380,11 +387,48 @@ def abs_expectation(d: EmpiricalDistribution) -> float:
     return _sum(np.abs(d.values) * d.probs)
 
 
+# Forward steps of the guide-table walk; keys still short of their atom
+# after these go to a binary search.
+_GUIDE_STEPS = 4
+
+
+def _inverse_cdf_index(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The atom index of each key in ``u``, in [0, 1], through the inverse CDF:
+    ``np.searchsorted(cumulative, u, side="left")`` bit for bit, for any
+    nondecreasing, nonnegative ``cumulative`` pinned to 1.0 at its end.
+
+    A guide table (Chen and Asau 1974; Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, III.2.4) of K cells, K the next power of two >= m:
+    ``lo[c]`` counts the levels below c/K, so a key u starts its search at
+    ``lo[floor(u K)]``, which no answer precedes. A level F lies below c/K
+    exactly when floor(F K) < c, and F K and u K are exact products because
+    K is a power of two, so ``lo`` is one ``bincount`` and one ``cumsum``.
+    Each key then walks forward while its level is below it, at most
+    ``_GUIDE_STEPS`` times; the keys left over, from cells crowded with
+    levels as on a dust law, are searched in full. O(m + keys) time; the
+    keys keep their order.
+    """
+    cells = 1 << (len(cumulative) - 1).bit_length()
+    counts = np.bincount((cumulative * cells).astype(np.intp), minlength=cells + 1)
+    lo = np.zeros(cells + 1, dtype=np.intp)
+    np.cumsum(counts[:-1], out=lo[1:])
+    idx = lo[(u * cells).astype(np.intp)]
+    ahead = np.flatnonzero(cumulative[idx] < u)
+    for _ in range(_GUIDE_STEPS):
+        if not ahead.size:
+            return idx
+        idx[ahead] += 1
+        ahead = ahead[cumulative[idx[ahead]] < u[ahead]]
+    if ahead.size:
+        idx[ahead] = np.searchsorted(cumulative, u[ahead], side="left")
+    return idx
+
+
 def sample(d: EmpiricalDistribution, s: SeededSampler, count: int) -> np.ndarray:
-    """``count`` i.i.d. draws via the inverse CDF on the sampler's stream."""
-    u = s.uniforms(count)
-    idx = np.searchsorted(d.cumulative, u, side="left")
-    return d.values[idx]
+    """``count`` i.i.d. draws via the inverse CDF on the sampler's stream:
+    the atom of each uniform is found by :func:`_inverse_cdf_index`, the
+    left search of the cumulative probabilities, in O(m + count)."""
+    return d.values[_inverse_cdf_index(d.cumulative, s.uniforms(count))]
 
 
 def affine(d: EmpiricalDistribution, scale: float, shift: float) -> EmpiricalDistribution:

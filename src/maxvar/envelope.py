@@ -154,7 +154,9 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
                 raise InfeasibleFamily(f"segment [{lo}, {hi}) exceeds the CVaR bound at level {a}")
         if abs(_sum(flat * d.probs) - 1.0) > _FEAS_TOL:
             raise InfeasibleFamily(f"segment [{lo}, {hi}) mean is not 1")
-        if abs(_sum(tail * d.probs)) > _FEAS_TOL:
+        # an all-zero tail has mean exactly 0: skip the sum, which the exact
+        # sum's certified path would refuse and hand to math.fsum
+        if tail.any() and abs(_sum(tail * d.probs)) > _FEAS_TOL:
             raise InfeasibleFamily(f"segment [{lo}, {hi}) tail component has nonzero mean")
     if fam.bounds[-1] != 1.0:
         raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")

@@ -32,7 +32,6 @@ from maxvar import (
     expectation,
     from_samples,
     quadrature_breakpoints,
-    sample,
 )
 from maxvar._serialize import format_rows
 from maxvar.cli import PROB_COLUMN
@@ -98,15 +97,24 @@ def brute_force_cvar(d: EmpiricalDistribution, alpha: float) -> float:
     return best
 
 
+def inverse_cdf_index_by_search(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Frozen reference for ``maxvar.dist._inverse_cdf_index``: the left
+    binary search of the cumulative probabilities."""
+    return np.searchsorted(cumulative, u, side="left")
+
+
 def mc_draw_then_max(
     d: EmpiricalDistribution, n: int, trials: int, sampler: SeededSampler
 ) -> McEstimate:
     """Reference Monte Carlo maxvar that ``maxvar.maxvar_mc`` must match bit
-    for bit: draw all trials x n values through the inverse CDF, take each
-    row's max, then average and take the standard error in trial order. The
-    sum uses ``math.fsum``, which the library's exact sum matches bit for bit.
+    for bit: draw all trials x n uniforms at once, map each through the
+    inverse CDF by binary search, take each row's max, then average and take
+    the standard error in trial order. The sum uses ``math.fsum``, which the
+    library's exact sum matches bit for bit.
     """
-    maxima = sample(d, sampler, trials * n).reshape(trials, n).max(axis=1)
+    u = sampler.uniforms(trials * n)
+    draws = d.values[inverse_cdf_index_by_search(d.cumulative, u)]
+    maxima = draws.reshape(trials, n).max(axis=1)
     if maxima.min() == maxima.max():
         estimate, std_error = float(maxima[0]), 0.0
     else:

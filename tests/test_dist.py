@@ -25,13 +25,14 @@ from maxvar import (
     quantile,
     sample,
 )
-from maxvar.dist import _SUM_CHUNK, _SUM_MIN_SIZE, _sum
+from maxvar.dist import _GUIDE_STEPS, _SUM_CHUNK, _SUM_MIN_SIZE, _inverse_cdf_index, _sum
 
 from conftest import tier1_budget
 from helpers import (
     affine_by_unique,
     d4,
     from_samples_validated,
+    inverse_cdf_index_by_search,
     law_outcome,
     portfolio_law_via_pairs,
 )
@@ -364,6 +365,22 @@ class TestSampler:
         got = SeededSampler(1).uniforms(np.int64(3))
         assert got.tolist() == SeededSampler(1).uniforms(3).tolist()
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=8), st.integers(0, 2**32 - 1))
+    def test_filled_chunks_equal_one_draw(self, sizes, seed):
+        # each uniform comes from one 64-bit output, so chunks cut the stream anywhere
+        chunked = SeededSampler(seed, 2)
+        parts = [chunked.fill(np.empty(size)) for size in sizes]
+        whole = SeededSampler(seed, 2).uniforms(sum(sizes))
+        assert np.concatenate([whole[:0], *parts]).tobytes() == whole.tobytes()
+        assert chunked.uniforms(3).tobytes() == SeededSampler(seed, 2).uniforms(sum(sizes) + 3)[-3:].tobytes()
+
+    def test_sample_matches_search(self):
+        for d in (d4(), from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)])):
+            got = sample(d, SeededSampler(11, 4), 5000)
+            u = SeededSampler(11, 4).uniforms(5000)
+            assert got.tobytes() == d.values[inverse_cdf_index_by_search(d.cumulative, u)].tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(small_laws())
     def test_empirical_cdf_within_dkw_band(self, d):
@@ -374,6 +391,52 @@ class TestSampler:
         for v, f in zip(d.values, d.cumulative):
             emp = float(np.count_nonzero(draws <= v)) / count
             assert abs(emp - f) <= eps
+
+
+@st.composite
+def cumulative_levels(draw):
+    # a law's cumulative probabilities, with masses over 300 decades (dust,
+    # and levels that round together or to 1.0 below the top atom), or a raw
+    # nondecreasing array with plateaus, crowded near 0 or near 1, pinned to 1.0
+    m = draw(st.integers(1, 32))
+    if draw(st.booleans()):
+        exponents = draw(st.lists(st.floats(-300.0, 0.0), min_size=m, max_size=m))
+        return from_samples([(float(i), 10.0**e) for i, e in enumerate(exponents)]).cumulative
+    ulps = st.integers(0, 64).map(lambda k: 1.0 - k * 2.0**-53)
+    tiny = st.integers(0, 64).map(lambda k: k * 5e-324)
+    levels = draw(st.lists(st.one_of(st.floats(0.0, 1.0), ulps, tiny), min_size=m - 1, max_size=m - 1))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=m - 1, max_size=m - 1))
+    plateaus = [level for level, k in zip(levels, repeats) for _ in range(k)]
+    return np.array(sorted(plateaus) + [1.0])
+
+
+class TestInverseCdfIndex:
+    """The guide table against the binary search it replaces."""
+
+    @tier1_budget(200)
+    @given(cumulative_levels(), st.lists(st.floats(0.0, 1.0), max_size=20), st.randoms())
+    @example(from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)]).cumulative, [], None)
+    @example(from_samples([(0.0, 1.0)]).cumulative, [0.0, 0.5, 1.0], None)
+    def test_matches_searchsorted(self, cum, extra, rnd):
+        # every level, its neighbours towards 0 and 1, 0.0 and drawn keys,
+        # in a drawn order
+        keys = [*cum, *np.nextafter(cum, 0.0), *np.nextafter(cum, 1.0), 0.0, *extra]
+        if rnd is not None:
+            rnd.shuffle(keys)
+        u = np.array(keys)
+        got = _inverse_cdf_index(cum, u)
+        assert got.dtype == np.intp
+        assert got.tobytes() == inverse_cdf_index_by_search(cum, u).astype(np.intp).tobytes()
+
+    def test_crowded_cell_falls_back_to_search(self, monkeypatch):
+        # 29 dust levels share the bottom cell, more than the walk steps through
+        cum = from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)]).cumulative
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(a) or search(*a, **k))
+        u = np.array([cum[-2], cum[0], 0.5])
+        assert _inverse_cdf_index(cum, u).tolist() == search(cum, u).tolist() == [28, 0, 29]
+        assert _GUIDE_STEPS < 28 and len(calls) == 1
 
 
 # Lengths on both sides of the fsum cut-off and of a chunk boundary, on

@@ -27,6 +27,7 @@ from maxvar import (
     maxvar_choquet,
     mixture_density,
 )
+from maxvar import envelope
 from maxvar.axioms import _random_feasible_family, random_distribution
 
 from helpers import (
@@ -247,6 +248,18 @@ class TestMixtureDensity:
         )
         with pytest.raises(InfeasibleFamily):
             mixture_density(d4(), 2, fam)
+
+    def test_zero_tails_skip_the_sum(self, monkeypatch):
+        # an all-zero tail has mean exactly 0, so only the flat parts' means
+        # reach the exact sum; a tail with a nonzero mean is still summed
+        seen = []
+        monkeypatch.setattr(envelope, "_sum", lambda x: seen.append(x.any()) or math.fsum(x))
+        fam = CvarFeasibleFamily.from_constant_densities([0.0, 0.3, 1.0], [np.ones(4), np.ones(4)])
+        assert mixture_density(d4(), 3, fam).q.tolist() == [1.0] * 4
+        assert seen == [True, True]
+        tail = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.05]])
+        with pytest.raises(InfeasibleFamily, match="tail component has nonzero mean"):
+            mixture_density(d4(), 3, replace(fam, tail=tail))
 
     def test_partition_gap_rejected(self):
         # ends short of 1, starts above 0, decreases, repeats a bound

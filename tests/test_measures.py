@@ -34,8 +34,16 @@ from maxvar import (
     weight,
     weight_cdf,
 )
-from maxvar.measures import _gauss_legendre, _left_quantile_index, _var_index
+from maxvar.measures import (
+    _FOLD_MAX_N,
+    _MC_CHUNK,
+    _MC_MAX_DRAWS,
+    _gauss_legendre,
+    _left_quantile_index,
+    _var_index,
+)
 
+from conftest import tier1_budget
 from helpers import (
     bernoulli_half,
     brute_force_cvar,
@@ -318,10 +326,27 @@ class TestCopyCountForms:
                 assert_same_bits(method(x), frozen(n, x))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 16), st.integers(1, 8), st.data())
-    def test_run_maxima_match_frozen_form(self, n, trials, data):
-        u = np.array(data.draw(st.lists(unit_entries, min_size=trials * n, max_size=trials * n)))
-        assert_same_bits(CopyCount(n).run_maxima(u), run_maxima_frozen(u, n, trials))
+    @given(
+        st.integers(1, 3 * _FOLD_MAX_N),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 3 * 8 * _FOLD_MAX_N), unit_entries), max_size=12),
+    )
+    # the fold at its smallest n, the last n that folds, the first that reduceat reduces
+    @example(1, 3, 0, [])
+    @example(_FOLD_MAX_N, 3, 0, [(0, 1.0), (1, 1.0)])
+    @example(_FOLD_MAX_N + 1, 3, 0, [(5, 0.0)])
+    def test_run_maxima_match_frozen_form(self, n, trials, seed, entries):
+        # both sides of the fold/reduceat switch, returned or written to out:
+        # uniforms with drawn entries of [0, 1] (ends, ties, dust) put in
+        u = SeededSampler(seed).uniforms(trials * n)
+        for pos, x in entries:
+            u[pos % u.size] = x
+        want = run_maxima_frozen(u, n, trials)
+        assert_same_bits(CopyCount(n).run_maxima(u), want)
+        out = np.full(trials, np.nan)
+        assert CopyCount(n).run_maxima(u, out=out) is out
+        assert_same_bits(out, want)
 
 
 def route_outcome(route, *args):
@@ -557,13 +582,21 @@ class TestMonteCarlo:
         assert a.estimate == b.estimate
         assert a.std_error == b.std_error
 
-    @settings(max_examples=200, deadline=None)
+    @tier1_budget(200)
     @given(
         st.one_of(dust_laws(), one_atom_laws, laws()),
         st.integers(1, 64),
         st.integers(2, 5000),
         st.integers(0, 2**32 - 1),
     )
+    # trials x n one short of a chunk, one chunk, one past it, over several
+    # chunks at n = 1, and runs longer than a chunk drawn in pieces
+    @example(d4(), 7, (_MC_CHUNK - 1) // 7, 1)
+    @example(d4(), 64, _MC_CHUNK // 64, 2)
+    @example(d4(), 3, (_MC_CHUNK + 1) // 3, 3)
+    @example(d4(), 1, 2 * _MC_CHUNK + 1, 4)
+    @example(d4(), _MC_CHUNK + 3, 3, 5)
+    @example(d4(), 2 * _MC_CHUNK + 1, 2, 6)
     def test_matches_draw_then_max(self, d, n, trials, seed):
         # the max of n inverse-CDF draws is the draw at the max of n uniforms
         got = maxvar_mc(d, n, trials, SeededSampler(seed, 1))
@@ -574,6 +607,34 @@ class TestMonteCarlo:
     def test_budget(self):
         with pytest.raises(BudgetTooSmall):
             maxvar_mc(d4(), 2, 1, SeededSampler(1))
+
+    @pytest.mark.parametrize(
+        "n, trials",
+        [(2**53 + 1, 16), (2**128, 16), (2**128, 2), (1, _MC_MAX_DRAWS + 1), (2**22, 2**22 + 1)],
+    )
+    def test_refused_counts_draw_nothing(self, n, trials, monkeypatch):
+        # above 2^44 uniforms the call is refused before the first draw
+        def no_draws(self, out):
+            raise AssertionError("drew uniforms")
+
+        monkeypatch.setattr(SeededSampler, "fill", no_draws)
+        message = f"cannot draw trials x n = {trials} x {n} = {trials * n} uniforms"
+        with pytest.raises(OutOfRange, match=message):
+            maxvar_mc(d4(), n, trials, SeededSampler(9))
+
+    def test_memory_is_trials_plus_chunk(self):
+        # the parent drew all trials x n uniforms at once: 51 MB here; now the
+        # peak is a few arrays of one float per trial and the chunk buffer
+        trials = 10**5
+        d = d4()
+        d.cumulative
+        tracemalloc.start()
+        try:
+            maxvar_mc(d, 64, trials, SeededSampler(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 * trials + 2 * _MC_CHUNK)
 
     @pytest.mark.parametrize("trials", [2.9, 2.0, True, "7", None])
     def test_non_integer_trials_rejected(self, trials):
