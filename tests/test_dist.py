@@ -25,7 +25,14 @@ from maxvar import (
     quantile,
     sample,
 )
-from maxvar.dist import _GUIDE_STEPS, _SUM_CHUNK, _SUM_MIN_SIZE, _inverse_cdf_index, _sum
+from maxvar.dist import (
+    _GUIDE_MIN_SHARE,
+    _GUIDE_STEPS,
+    _SUM_CHUNK,
+    _SUM_MIN_SIZE,
+    _inverse_cdf_index,
+    _sum,
+)
 
 from conftest import tier1_budget
 from helpers import (
@@ -319,6 +326,12 @@ class TestAffine:
         assert law_outcome(affine, d, -1.0, 0.0) == want
 
 
+def bottom_dust_law():
+    # 29 atoms of mass 1e-20 below one of mass 1: their 29 distinct levels
+    # crowd the first cell of the inverse-CDF guide table
+    return from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)])
+
+
 class TestSampler:
     def test_degenerate_law(self):
         d = from_samples([(5, 1)])
@@ -373,10 +386,11 @@ class TestSampler:
         parts = [chunked.fill(np.empty(size)) for size in sizes]
         whole = SeededSampler(seed, 2).uniforms(sum(sizes))
         assert np.concatenate([whole[:0], *parts]).tobytes() == whole.tobytes()
-        assert chunked.uniforms(3).tobytes() == SeededSampler(seed, 2).uniforms(sum(sizes) + 3)[-3:].tobytes()
+        after = SeededSampler(seed, 2).uniforms(sum(sizes) + 3)[-3:]
+        assert chunked.uniforms(3).tobytes() == after.tobytes()
 
     def test_sample_matches_search(self):
-        for d in (d4(), from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)])):
+        for d in (d4(), bottom_dust_law()):
             got = sample(d, SeededSampler(11, 4), 5000)
             u = SeededSampler(11, 4).uniforms(5000)
             assert got.tobytes() == d.values[inverse_cdf_index_by_search(d.cumulative, u)].tobytes()
@@ -404,18 +418,19 @@ def cumulative_levels(draw):
         return from_samples([(float(i), 10.0**e) for i, e in enumerate(exponents)]).cumulative
     ulps = st.integers(0, 64).map(lambda k: 1.0 - k * 2.0**-53)
     tiny = st.integers(0, 64).map(lambda k: k * 5e-324)
-    levels = draw(st.lists(st.one_of(st.floats(0.0, 1.0), ulps, tiny), min_size=m - 1, max_size=m - 1))
+    level = st.one_of(st.floats(0.0, 1.0), ulps, tiny)
+    levels = draw(st.lists(level, min_size=m - 1, max_size=m - 1))
     repeats = draw(st.lists(st.integers(1, 4), min_size=m - 1, max_size=m - 1))
-    plateaus = [level for level, k in zip(levels, repeats) for _ in range(k)]
+    plateaus = [x for x, k in zip(levels, repeats) for _ in range(k)]
     return np.array(sorted(plateaus) + [1.0])
 
 
 class TestInverseCdfIndex:
-    """The guide table against the binary search it replaces."""
+    """The guide table against the left binary search it must equal."""
 
     @tier1_budget(200)
     @given(cumulative_levels(), st.lists(st.floats(0.0, 1.0), max_size=20), st.randoms())
-    @example(from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)]).cumulative, [], None)
+    @example(bottom_dust_law().cumulative, [], None)
     @example(from_samples([(0.0, 1.0)]).cumulative, [0.0, 0.5, 1.0], None)
     def test_matches_searchsorted(self, cum, extra, rnd):
         # every level, its neighbours towards 0 and 1, 0.0 and drawn keys,
@@ -428,9 +443,17 @@ class TestInverseCdfIndex:
         assert got.dtype == np.intp
         assert got.tobytes() == inverse_cdf_index_by_search(cum, u).astype(np.intp).tobytes()
 
+    def test_few_keys_skip_the_table(self, monkeypatch):
+        # a draw or two from a large law costs O(log m) each, not an O(m) table
+        d = from_samples([(float(v), 1.0) for v in range(1000)])
+        monkeypatch.setattr(np, "bincount", None)
+        u = SeededSampler(3).uniforms(1000 // _GUIDE_MIN_SHARE - 1)
+        got = sample(d, SeededSampler(3), u.size)
+        assert got.tobytes() == d.values[inverse_cdf_index_by_search(d.cumulative, u)].tobytes()
+
     def test_crowded_cell_falls_back_to_search(self, monkeypatch):
-        # 29 dust levels share the bottom cell, more than the walk steps through
-        cum = from_samples([(float(v), 1e-20) for v in range(29)] + [(29.0, 1.0)]).cumulative
+        # the dust levels share a cell, more than the walk steps through
+        cum = bottom_dust_law().cumulative
         calls = []
         search = np.searchsorted
         monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(a) or search(*a, **k))
