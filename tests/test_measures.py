@@ -287,10 +287,8 @@ class TestDistortions:
 
 # Entries of [0, 1] for the forms in n: its ends, the largest double below 1,
 # the smallest subnormal, probability dust and uniform draws.
-unit_entries = st.one_of(
-    st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53, 5e-324, 1e-300, 1e-20, 1e-16]),
-    st.floats(0.0, 1.0),
-)
+UNIT_LISTED = [0.0, 1.0, 1.0 - 2.0**-53, 5e-324, 1e-300, 1e-20, 1e-16]
+unit_entries = st.one_of(st.sampled_from(UNIT_LISTED), st.floats(0.0, 1.0))
 
 
 def assert_same_bits(got, want):
@@ -326,22 +324,19 @@ class TestCopyCountForms:
                 assert_same_bits(method(x), frozen(n, x))
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 3 * _FOLD_MAX_N),
-        st.integers(1, 8),
-        st.integers(0, 2**32 - 1),
-        st.lists(st.tuples(st.integers(0, 3 * 8 * _FOLD_MAX_N), unit_entries), max_size=12),
-    )
+    @given(st.integers(1, 3 * _FOLD_MAX_N), st.integers(1, 8), st.integers(0, 2**32 - 1))
     # the fold at its smallest n, the last n that folds, the first that reduceat reduces
-    @example(1, 3, 0, [])
-    @example(_FOLD_MAX_N, 3, 0, [(0, 1.0), (1, 1.0)])
-    @example(_FOLD_MAX_N + 1, 3, 0, [(5, 0.0)])
-    def test_run_maxima_match_frozen_form(self, n, trials, seed, entries):
-        # both sides of the fold/reduceat switch, returned or written to out:
-        # uniforms with drawn entries of [0, 1] (ends, ties, dust) put in
-        u = SeededSampler(seed).uniforms(trials * n)
-        for pos, x in entries:
-            u[pos % u.size] = x
+    @example(1, 3, 0)
+    @example(_FOLD_MAX_N, 3, 0)
+    @example(_FOLD_MAX_N + 1, 3, 0)
+    def test_run_maxima_match_frozen_form(self, n, trials, seed):
+        # both sides of the fold/reduceat switch, returned or written to out,
+        # on entries that are, as in unit_entries, half uniform draws and half
+        # its listed values (ends, ties, dust)
+        rng = np.random.default_rng(seed)
+        u = rng.random(trials * n)
+        listed = rng.random(u.size) < 0.5
+        u[listed] = rng.choice(UNIT_LISTED, listed.sum())
         want = run_maxima_frozen(u, n, trials)
         assert_same_bits(CopyCount(n).run_maxima(u), want)
         out = np.full(trials, np.nan)
