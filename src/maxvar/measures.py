@@ -48,10 +48,10 @@ _FOLD_MAX_N = 16
 # Uniforms per draw into maxvar_mc's one reused buffer: 256 KiB, which the
 # reduction reads while it is still in cache.
 _MC_CHUNK = 1 << 15
-# The most uniforms one maxvar_mc call draws: 2^44 floats fill the 2^47
-# bytes of a 64-bit process's address space, so numpy could not draw more
-# as one array on any machine.
-_MC_MAX_DRAWS = 2**44
+# The most uniforms one maxvar_mc call draws: 2^36, about 8 minutes of
+# drawing at 7 ns a uniform (2-core Xeon, numpy 2.4). As one float64 array
+# they would take 512 GiB.
+_MC_MAX_DRAWS = 2**36
 
 
 @dataclass(frozen=True)
@@ -421,24 +421,16 @@ def _mean_and_error(x: np.ndarray) -> tuple[float, float]:
         return mean, float(np.std(x, ddof=1)) / math.sqrt(len(x))
 
 
-def _trial_maxima(cc: CopyCount, s: SeededSampler, maxima: np.ndarray) -> np.ndarray:
+def _trial_maxima(
+    cc: CopyCount, s: SeededSampler, buf: np.ndarray, maxima: np.ndarray
+) -> np.ndarray:
     # the max of each trial's n uniforms into ``maxima``, in trial order:
-    # whole runs drawn into one reused buffer and reduced there; a run longer
-    # than the buffer is drawn in pieces whose maxima are folded
+    # whole runs drawn into ``buf``, which holds at least one, and reduced there
     n, trials = cc.n, len(maxima)
-    if n <= _MC_CHUNK:
-        runs = _MC_CHUNK // n
-        buf = np.empty(min(runs, trials) * n)
-        for start in range(0, trials, runs):
-            count = min(runs, trials - start)
-            cc.run_maxima(s.fill(buf[: count * n]), out=maxima[start : start + count])
-        return maxima
-    buf = np.empty(_MC_CHUNK)
-    for trial in range(trials):
-        top = 0.0
-        for start in range(0, n, _MC_CHUNK):
-            top = max(top, float(s.fill(buf[: min(_MC_CHUNK, n - start)]).max()))
-        maxima[trial] = top
+    runs = len(buf) // n
+    for start in range(0, trials, runs):
+        count = min(runs, trials - start)
+        cc.run_maxima(s.fill(buf[: count * n]), out=maxima[start : start + count])
     return maxima
 
 
@@ -453,12 +445,14 @@ def maxvar_mc(
     II.2): one lookup per trial instead of n, and the same bits as drawing
     all n values with :func:`maxvar.dist.sample` and taking each row's max.
 
-    The uniforms are drawn ``_MC_CHUNK`` at a time into one reused buffer
-    and reduced to each trial's max there, so memory is O(trials + chunk),
-    not O(trials x n), and the stream's bits are those of one draw. The
-    maxima find their atoms through ``dist._inverse_cdf_index``, a guide
-    table over the cumulative probabilities, in O(m + trials). A
-    ``trials x n`` above 2^44 raises ``OutOfRange`` before any draw.
+    The uniforms are drawn as whole runs, about ``_MC_CHUNK`` at a time and
+    at least one run, into one reused buffer and reduced to each trial's max
+    there, so memory is O(trials + max(n, chunk)), not O(trials x n), and
+    the stream's bits are those of one draw. The maxima find their atoms
+    through ``dist._inverse_cdf_index``, a guide table over the cumulative
+    probabilities, in O(m + trials). A ``trials x n`` above
+    ``_MC_MAX_DRAWS`` = 2^36, or a buffer or maxima array that cannot be
+    allocated, raises ``OutOfRange`` before any draw.
 
     Deterministic for a given sampler state; the reported standard error is
     the sample standard deviation over trials divided by sqrt(trials). When
@@ -471,11 +465,12 @@ def maxvar_mc(
     refusal = f"cannot draw trials x n = {trials} x {n} = {trials * n} uniforms"
     if trials * n > _MC_MAX_DRAWS:
         raise OutOfRange(refusal)
+    runs = min(max(1, _MC_CHUNK // n), trials)
     try:
-        u = np.empty(trials)
-    except MemoryError as exc:  # no room for the trials' maxima
+        buf, u = np.empty(runs * n), np.empty(trials)
+    except MemoryError as exc:  # no room for one run or for the trials' maxima
         raise OutOfRange(refusal) from exc
-    maxima = d.values[_inverse_cdf_index(d.cumulative, _trial_maxima(cc, s, u))]
+    maxima = d.values[_inverse_cdf_index(d.cumulative, _trial_maxima(cc, s, buf, u))]
     if maxima.min() == maxima.max():
         estimate, std_error = float(maxima[0]), 0.0
     else:

@@ -789,7 +789,7 @@ class TestCliExitCodes:
         assert doc["params"]["method"] == "mixture-quad"
 
     def test_unallocatable_mc_draw_exits_two_with_one_line(self):
-        # numpy refuses both sizes before allocating anything
+        # both counts are above maxvar_mc's draw limit, refused before any allocation
         mc = ["maxvar", "--column", "loss", "--method", "mc", "--seed", "1"]
         for trials, n in (("1000000000000000", "7"), ("2", "100000000000000000000")):
             result = run_cli(*mc, "--trials", trials, "--n", n)

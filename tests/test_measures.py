@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import maxvar.measures as measures
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -324,25 +325,21 @@ class TestCopyCountForms:
                 assert_same_bits(method(x), frozen(n, x))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3 * _FOLD_MAX_N), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    # the fold at its smallest n, the last n that folds, the first that reduceat reduces
-    @example(1, 3, 0)
-    @example(_FOLD_MAX_N, 3, 0)
-    @example(_FOLD_MAX_N + 1, 3, 0)
-    def test_run_maxima_match_frozen_form(self, n, trials, seed):
-        # both sides of the fold/reduceat switch, returned or written to out,
-        # on entries that are, as in unit_entries, half uniform draws and half
-        # its listed values (ends, ties, dust)
-        rng = np.random.default_rng(seed)
-        u = rng.random(trials * n)
-        listed = rng.random(u.size) < 0.5
-        u[listed] = rng.choice(UNIT_LISTED, listed.sum())
+    @given(
+        # the fold at its smallest n, the last n that folds, the first that
+        # reduceat reduces, or any n up to three times the switch
+        st.one_of(st.sampled_from([1, _FOLD_MAX_N, _FOLD_MAX_N + 1]), st.integers(1, 3 * _FOLD_MAX_N)),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_run_maxima_match_frozen_form(self, n, trials, data):
+        # both sides of the fold/reduceat switch, returned or written to out
+        u = np.array(data.draw(st.lists(unit_entries, min_size=trials * n, max_size=trials * n)))
         want = run_maxima_frozen(u, n, trials)
         assert_same_bits(CopyCount(n).run_maxima(u), want)
         out = np.full(trials, np.nan)
         assert CopyCount(n).run_maxima(u, out=out) is out
         assert_same_bits(out, want)
-
 
 def route_outcome(route, *args):
     # the result's type and bits, or the type and message of its typed error
@@ -585,7 +582,7 @@ class TestMonteCarlo:
         st.integers(0, 2**32 - 1),
     )
     # trials x n one short of a chunk, one chunk, one past it, over several
-    # chunks at n = 1, and runs longer than a chunk drawn in pieces
+    # chunks at n = 1, and runs longer than a chunk, one to a buffer
     @example(d4(), 7, (_MC_CHUNK - 1) // 7, 1)
     @example(d4(), 64, _MC_CHUNK // 64, 2)
     @example(d4(), 3, (_MC_CHUNK + 1) // 3, 3)
@@ -605,10 +602,17 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize(
         "n, trials",
-        [(2**53 + 1, 16), (2**128, 16), (2**128, 2), (1, _MC_MAX_DRAWS + 1), (2**22, 2**22 + 1)],
+        [
+            (2**53 + 1, 16),
+            (2**128, 16),
+            (2**128, 2),
+            (1, _MC_MAX_DRAWS + 1),
+            (2**18, 2**18 + 1),
+            (2**22, 2**22 + 1),
+        ],
     )
     def test_refused_counts_draw_nothing(self, n, trials, monkeypatch):
-        # above 2^44 uniforms the call is refused before the first draw
+        # above _MC_MAX_DRAWS uniforms the call is refused before the first draw
         def no_draws(self, out):
             raise AssertionError("drew uniforms")
 
@@ -616,6 +620,23 @@ class TestMonteCarlo:
         message = f"cannot draw trials x n = {trials} x {n} = {trials * n} uniforms"
         with pytest.raises(OutOfRange, match=message):
             maxvar_mc(d4(), n, trials, SeededSampler(9))
+
+    def test_count_at_the_limit_runs(self, monkeypatch):
+        # 2^18 x 2^18 is _MC_MAX_DRAWS itself: accepted, with one run of n
+        # floats in the buffer (the draws are skipped; drawing them all would
+        # take minutes)
+        shapes = []
+
+        def constant_maxima(cc, s, buf, maxima):
+            shapes.append((cc.n, len(buf)))
+            maxima[:] = 0.5
+            return maxima
+
+        monkeypatch.setattr(measures, "_trial_maxima", constant_maxima)
+        assert 2**18 * 2**18 == _MC_MAX_DRAWS
+        est = maxvar_mc(d4(), 2**18, 2**18, SeededSampler(9))
+        assert (est.estimate, est.std_error, est.trials) == (2.0, 0.0, 2**18)
+        assert shapes == [(2**18, 2**18)]
 
     def test_memory_is_trials_plus_chunk(self):
         # all trials x n uniforms at once would take 51 MB here; streamed, the
