@@ -251,6 +251,14 @@ class EmpiricalDistribution:
         return surv
 
     @cached_property
+    def guide(self) -> np.ndarray:
+        """The inverse-CDF guide table of :func:`_guide_table` over
+        ``cumulative``, built once per law for :func:`_inverse_cdf_values`."""
+        lo = _guide_table(self.cumulative)
+        lo.setflags(write=False)
+        return lo
+
+    @cached_property
     def upper_tails(self) -> np.ndarray:
         """E(X - v_k)_+ per atom, accumulated from the top atom down."""
         terms = np.diff(self.values) * self.survival[:-1]
@@ -395,12 +403,29 @@ _GUIDE_STEPS = 4
 # pays from about m/20 keys on at m = 1e5 and m/60 at m = 1e6 (2-core
 # Xeon, numpy 2.4); at m = 1e6, 10 draws took 6 ms through it, 14 us without.
 _GUIDE_MIN_SHARE = 16
+# Keys per lookup of _inverse_cdf_values: the temporaries of one chunk's
+# walk take 256 KiB each. At 1e5 keys on 1e5 levels, 2^13 keys a chunk
+# took 0.4 ms more than one lookup of all of them (2.7 ms), 2^15 about the
+# same (2-core Xeon, numpy 2.4).
+_GUIDE_CHUNK = 1 << 15
 
 
-def _inverse_cdf_index(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """The guide table of :func:`_guided_index` over the levels
+    ``cumulative``: ``lo[c]`` counts the levels below c/K, for K cells, the
+    next power of two >= m."""
+    cells = 1 << (len(cumulative) - 1).bit_length()
+    counts = np.bincount((cumulative * cells).astype(np.intp), minlength=cells + 1)
+    lo = np.zeros(cells + 1, dtype=np.intp)
+    np.cumsum(counts[:-1], out=lo[1:])
+    return lo
+
+
+def _guided_index(cumulative: np.ndarray, lo: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The atom index of each key in ``u``, in [0, 1], through the inverse CDF:
     ``np.searchsorted(cumulative, u, side="left")`` bit for bit, for any
-    nondecreasing, nonnegative ``cumulative`` pinned to 1.0 at its end.
+    nondecreasing, nonnegative ``cumulative`` pinned to 1.0 at its end, and
+    its guide table ``lo`` from :func:`_guide_table`.
 
     A guide table (Chen and Asau 1974; Devroye, *Non-Uniform Random Variate
     Generation*, 1986, III.2.4) of K cells, K the next power of two >= m:
@@ -410,17 +435,10 @@ def _inverse_cdf_index(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     K is a power of two, so ``lo`` is one ``bincount`` and one ``cumsum``.
     Each key then walks forward while its level is below it, at most
     ``_GUIDE_STEPS`` times; the keys left over, from cells crowded with
-    levels as on a dust law, are searched in full. O(m + keys) time; the
-    keys keep their order. Fewer than m / ``_GUIDE_MIN_SHARE`` keys are
-    searched in full without a table, in O(keys log m).
+    levels as on a dust law, are searched in full. O(keys) time after the
+    O(m) table; the keys keep their order.
     """
-    if len(u) * _GUIDE_MIN_SHARE < len(cumulative):
-        return np.searchsorted(cumulative, u, side="left")
-    cells = 1 << (len(cumulative) - 1).bit_length()
-    counts = np.bincount((cumulative * cells).astype(np.intp), minlength=cells + 1)
-    lo = np.zeros(cells + 1, dtype=np.intp)
-    np.cumsum(counts[:-1], out=lo[1:])
-    idx = lo[(u * cells).astype(np.intp)]
+    idx = lo[(u * (len(lo) - 1)).astype(np.intp)]
     ahead = np.flatnonzero(cumulative[idx] < u)
     for _ in range(_GUIDE_STEPS):
         if not ahead.size:
@@ -432,12 +450,35 @@ def _inverse_cdf_index(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _inverse_cdf_values(d: EmpiricalDistribution, u: np.ndarray) -> np.ndarray:
+    """Each key of the float array ``u``, in [0, 1], overwritten by the value
+    of its atom through the inverse CDF,
+    ``d.values[np.searchsorted(d.cumulative, u, side="left")]`` bit for bit,
+    and ``u`` returned.
+
+    The keys are looked up ``_GUIDE_CHUNK`` at a time by
+    :func:`_guided_index` through the law's cached guide table, so the
+    indices take O(chunk) memory, not O(keys), and repeated draws from one
+    law build the table once. Fewer than m / ``_GUIDE_MIN_SHARE`` keys are
+    searched in full without a table, in O(keys log m)."""
+    cum = d.cumulative
+    lo = None if len(u) * _GUIDE_MIN_SHARE < len(cum) else d.guide
+    for start in range(0, len(u), _GUIDE_CHUNK):
+        keys = u[start : start + _GUIDE_CHUNK]
+        idx = np.searchsorted(cum, keys, side="left") if lo is None else _guided_index(cum, lo, keys)
+        # every index is in range; "clip" writes straight into keys, where
+        # the default mode would gather into a temporary first
+        np.take(d.values, idx, out=keys, mode="clip")
+    return u
+
+
 def sample(d: EmpiricalDistribution, s: SeededSampler, count: int) -> np.ndarray:
     """``count`` i.i.d. draws via the inverse CDF on the sampler's stream:
-    the atom of each uniform is found by :func:`_inverse_cdf_index`, the
-    left search of the cumulative probabilities, in O(m + count) time, or
-    O(count log m) for fewer than m/16 draws."""
-    return d.values[_inverse_cdf_index(d.cumulative, s.uniforms(count))]
+    each uniform is overwritten by its atom's value through
+    :func:`_inverse_cdf_values`, the left search of the cumulative
+    probabilities, in O(m + count) time, or O(count log m) for fewer than
+    m/16 draws."""
+    return _inverse_cdf_values(d, s.uniforms(count))
 
 
 def affine(d: EmpiricalDistribution, scale: float, shift: float) -> EmpiricalDistribution:

@@ -17,6 +17,7 @@ Every weight integral uses the closed-form antiderivatives, no quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ from .measures import (
 
 _FEAS_TOL = 1e-12
 _CORE_TOL = 1e-9
+# Atoms per chunk of core_check's sweep over the upper-level sets. Its
+# buffers of this many floats stay in cache and are reused from the heap,
+# where full-length temporaries on a large law were mapped afresh and
+# page-faulted in on every call.
+_SWEEP_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,18 +209,72 @@ class CoreCheckReport:
     passed: bool
 
 
-def _upper_set_violations(
-    d: EmpiricalDistribution, cc: CopyCount, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed violations E(Q 1_A) - h(P(A)) over the upper-level sets of q,
-    plus the descending-q atom order and each set's prefix-end index."""
-    order = np.argsort(-q, kind="stable")
-    sorted_q = q[order]
-    ends = np.nonzero(np.append(sorted_q[:-1] > sorted_q[1:], True))[0]
-    # read at the set ends at once, so no full-length prefix sum outlives its line
-    mass = np.minimum(np.cumsum(d.probs[order]), 1.0)[ends]
-    charge = np.cumsum(sorted_q * d.probs[order])[ends]
-    return charge - cc.h(mass), order, ends
+def _strictly_increasing(q: np.ndarray) -> bool:
+    # q[i] < q[i + 1] for every i, one chunk of comparisons at a time
+    below, above = q[:-1], q[1:]
+    return all(
+        np.less(below[s : s + _SWEEP_CHUNK], above[s : s + _SWEEP_CHUNK]).all()
+        for s in range(0, len(below), _SWEEP_CHUNK)
+    )
+
+
+def _carried_cumsum(buf: np.ndarray, carry) -> np.ndarray:
+    # np.cumsum of the whole sequence, continued from the total of the entries
+    # before this chunk (None for the first chunk): cumsum adds in sequence,
+    # so a chunk whose first entry takes that total first has the bits of the
+    # full-length cumsum
+    if carry is not None:
+        buf[0] += carry
+    return np.cumsum(buf, out=buf)
+
+
+def _upper_set_sweep(
+    d: EmpiricalDistribution, cc: CopyCount, q: np.ndarray, collect_sets: bool
+) -> tuple[float, float, list[int], np.ndarray | None]:
+    """The upper-level sets of q in descending-q order, one chunk at a time:
+    the largest signed violation E(Q 1_A) - h(P(A)), the largest |violation|,
+    the prefix-end index of each tight set (only with ``collect_sets``), and
+    the descending-q atom order, or None when q is strictly increasing and
+    that order is the reversed index."""
+    m = len(q)
+    if _strictly_increasing(q):
+        order = None
+        desc_q, desc_p = q[::-1], d.probs[::-1]
+    else:
+        order = np.argsort(-q, kind="stable")
+    size = min(m, _SWEEP_CHUNK)
+    mass_buf, charge_buf = np.empty(size), np.empty(size)
+    mass_total = charge_total = None
+    worst = widest = -math.inf
+    tight = []
+    for start in range(0, m, _SWEEP_CHUNK):
+        stop = min(start + _SWEEP_CHUNK, m)
+        # one entry past the chunk tells whether the chunk's last atom ends a set
+        ahead = min(stop + 1, m)
+        if order is None:
+            chunk_q, chunk_p = desc_q[start:ahead], desc_p[start:stop]
+        else:
+            chunk_q, chunk_p = q[order[start:ahead]], d.probs[order[start:stop]]
+        mass, charge = mass_buf[: stop - start], charge_buf[: stop - start]
+        np.copyto(mass, chunk_p)
+        np.multiply(chunk_q[: stop - start], chunk_p, out=charge)
+        mass_total = _carried_cumsum(mass, mass_total)[-1]
+        charge_total = _carried_cumsum(charge, charge_total)[-1]
+        if order is not None:  # tied atoms enter together: a set ends where q drops
+            drops = chunk_q[:-1] > chunk_q[1:]
+            ends = np.flatnonzero(drops if ahead > stop else np.append(drops, True))
+            if not ends.size:  # one tie runs through the chunk
+                continue
+            mass, charge = mass[ends], charge[ends]
+        violations = charge
+        violations -= cc.h(np.minimum(mass, 1.0, out=mass))
+        gaps = np.abs(violations)
+        worst = max(worst, float(violations.max()))
+        widest = max(widest, float(gaps.max()))
+        if collect_sets:
+            at = np.flatnonzero(gaps <= _CORE_TOL)
+            tight.extend((start + (at if order is None else ends[at])).tolist())
+    return worst, widest, tight, order
 
 
 def core_check(
@@ -232,6 +292,17 @@ def core_check(
     the atom values in entry order (descending q, ties in ascending value):
     O(m^2) references to m floats when all m sets are tight, as for the
     extremal density. Pass ``collect_sets=False`` on large laws to skip them.
+
+    One sweep visits the sets in entry order, ``_SWEEP_CHUNK`` atoms at a
+    time. Each chunk's prefix sums of mass and charge continue from the
+    previous chunk's totals, so they have the bits of one full-length
+    ``np.cumsum``, and each chunk is reduced to its largest violation, its
+    largest |violation| and its tight ends before the next. When q is
+    strictly increasing in atom index, as the extremal density's is on laws
+    without dust, an O(m) test finds the entry order to be the reversed
+    index and nothing is sorted; any other q, ties included, takes a stable
+    argsort of -q. Beyond that order, the mean's product ``q * probs`` and
+    the tight sets, a call allocates O(chunk) memory.
     """
     cc = _copy_count(nc)
     q = e.q
@@ -239,18 +310,17 @@ def core_check(
         raise DimensionMismatch(
             f"density has {len(q)} entries, distribution has {d.atom_count} atoms"
         )
-    violations, order, ends = _upper_set_violations(d, cc, q)
+    max_violation, max_gap, tight_ends, order = _upper_set_sweep(d, cc, q, collect_sets)
     tight = ()
     if collect_sets:  # set j is the first j + 1 atoms to enter: a prefix of one tuple
-        entered = tuple(d.values[order].tolist())
-        tight = tuple(entered[: j + 1] for j in ends[np.abs(violations) <= _CORE_TOL].tolist())
+        entered = tuple((d.values[::-1] if order is None else d.values[order]).tolist())
+        tight = tuple(entered[: j + 1] for j in tight_ends)
     mean_gap = _sum(q * d.probs) - 1.0
-    max_violation = float(np.max(violations))
     passed = max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL
     return CoreCheckReport(
         max_violation=max_violation,
         mean_gap=mean_gap,
-        max_equality_gap=float(np.max(np.abs(violations))),
+        max_equality_gap=max_gap,
         tight_sets=tight,
         tolerance=_CORE_TOL,
         passed=passed,

@@ -32,7 +32,7 @@ from .dist import (
     EmpiricalDistribution,
     SeededSampler,
     _integer,
-    _inverse_cdf_index,
+    _inverse_cdf_values,
     _sum,
     _unit_interval,
     affine,
@@ -449,8 +449,10 @@ def maxvar_mc(
     at least one run, into one reused buffer and reduced to each trial's max
     there, so memory is O(trials + max(n, chunk)), not O(trials x n), and
     the stream's bits are those of one draw. The maxima find their atoms
-    through ``dist._inverse_cdf_index``, a guide table over the cumulative
-    probabilities, in O(m + trials). A ``trials x n`` above
+    through ``dist._inverse_cdf_values``, a guide table over the cumulative
+    probabilities, in O(m + trials), a chunk of keys at a time, and each
+    atom's value is written over its maximum: the maxima and the values
+    share one array of ``trials`` floats. A ``trials x n`` above
     ``_MC_MAX_DRAWS`` = 2^36, or a buffer or maxima array that cannot be
     allocated, raises ``OutOfRange`` before any draw.
 
@@ -470,7 +472,7 @@ def maxvar_mc(
         buf, u = np.empty(runs * n), np.empty(trials)
     except MemoryError as exc:  # no room for one run or for the trials' maxima
         raise OutOfRange(refusal) from exc
-    maxima = d.values[_inverse_cdf_index(d.cumulative, _trial_maxima(cc, s, buf, u))]
+    maxima = _inverse_cdf_values(d, _trial_maxima(cc, s, buf, u))
     if maxima.min() == maxima.max():
         estimate, std_error = float(maxima[0]), 0.0
     else:
@@ -482,5 +484,23 @@ def maxvar_mc(
 
 
 def minvar(d: EmpiricalDistribution, nc) -> float:
-    """Expected minimum of n i.i.d. copies, via minvar_n(X) = -maxvar_n(-X)."""
-    return -maxvar_choquet(affine(d, -1.0, 0.0), _copy_count(nc))
+    """Expected minimum of n i.i.d. copies, via minvar_n(X) = -maxvar_n(-X),
+    with maxvar_n(-X) evaluated as :func:`maxvar_choquet` would on the law
+    of -X, bit for bit, without building that law.
+
+    -X has the atoms -v_k + 0.0 (a zero becomes +0.0) in reverse order, and
+    its cumulative probabilities are ``d.survival`` reversed and shifted by
+    one, clipped at 1, with the top pinned to 1: both come from the same
+    cumsum of the reversed masses. So the layer of atom k is
+    S_{k-1}^n - S_k^n with S = min(survival, 1) and S_{-1}^n = 1. The sum
+    is correctly rounded, so the order of its terms does not matter. Two
+    arrays of m floats are allocated.
+    """
+    cc = _copy_count(nc)
+    powered = np.minimum(d.survival, 1.0)
+    powered **= cc.n
+    terms = np.empty_like(powered)
+    terms[0] = 1.0 - powered[0]
+    np.subtract(powered[:-1], powered[1:], out=terms[1:])
+    terms *= np.subtract(0.0, d.values, out=powered)
+    return -_sum(terms)

@@ -12,7 +12,7 @@ import numpy as np
 from maxvar import (
     AllZeroWeights,
     BudgetTooSmall,
-    CopyCount,
+    CoreCheckReport,
     DimensionMismatch,
     EmptyInput,
     EmpiricalDistribution,
@@ -35,7 +35,7 @@ from maxvar import (
 )
 from maxvar._serialize import format_rows
 from maxvar.cli import PROB_COLUMN
-from maxvar.envelope import _CORE_TOL, _upper_set_violations
+from maxvar.envelope import _CORE_TOL
 from maxvar.measures import _var_index
 
 
@@ -98,7 +98,8 @@ def brute_force_cvar(d: EmpiricalDistribution, alpha: float) -> float:
 
 
 def inverse_cdf_index_by_search(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Frozen reference for ``maxvar.dist._inverse_cdf_index``: the left
+    """Frozen reference for the inverse-CDF lookups of ``maxvar.dist``
+    (``_guided_index`` and ``_inverse_cdf_values``): the left
     binary search of the cumulative probabilities."""
     return np.searchsorted(cumulative, u, side="left")
 
@@ -232,6 +233,15 @@ def affine_by_unique(d: EmpiricalDistribution, scale, shift) -> EmpiricalDistrib
     uniq, _, inverse = np.unique(new_values, return_index=True, return_inverse=True)
     merged = np.bincount(inverse, weights=d.probs, minlength=len(uniq))
     return EmpiricalDistribution(uniq, merged)
+
+
+def minvar_on_mirrored_law(d: EmpiricalDistribution, n: int) -> float:
+    """Reference that ``maxvar.minvar`` must match bit for bit:
+    -maxvar_n(-X) with -X's law built by :func:`affine_by_unique` and its
+    maxvar summed over :func:`layers_by_diff` in -X's atom order. Sums use
+    ``math.fsum``, which the library's exact sum matches bit for bit."""
+    mirror = affine_by_unique(d, -1.0, 0.0)
+    return -math.fsum(mirror.values * layers_by_diff(mirror, n))
 
 
 def var_index_by_negation(d: EmpiricalDistribution, alpha):
@@ -447,11 +457,49 @@ def mixture_quad_per_panel(d: EmpiricalDistribution, n: int, q: QuadratureRule) 
     return math.fsum([h * math.fsum(row) for h, row in zip(half[:, 0], gl_weights * integrand)])
 
 
+def upper_set_violations_full_length(d: EmpiricalDistribution, n: int, q: np.ndarray) -> tuple:
+    """Frozen full-length form of ``core_check``'s sweep: the signed
+    violations E(Q 1_A) - h(P(A)) over the upper-level sets of q, the stable
+    descending-q atom order and each set's prefix-end index, from one argsort
+    and full-length prefix sums."""
+    order = np.argsort(-q, kind="stable")
+    sorted_q = q[order]
+    ends = np.nonzero(np.append(sorted_q[:-1] > sorted_q[1:], True))[0]
+    mass = np.minimum(np.cumsum(d.probs[order]), 1.0)[ends]
+    charge = np.cumsum(sorted_q * d.probs[order])[ends]
+    return charge - h_frozen(n, mass), order, ends
+
+
+def core_check_full_length(
+    d: EmpiricalDistribution, n: int, e: EnvelopeDensity, collect_sets: bool = True
+) -> CoreCheckReport:
+    """Reference that ``maxvar.core_check`` must match bit for bit in every
+    field: the report read off :func:`upper_set_violations_full_length`.
+    Sums use ``math.fsum``, which the library's exact sum matches bit for
+    bit."""
+    q = e.q
+    violations, order, ends = upper_set_violations_full_length(d, n, q)
+    tight = ()
+    if collect_sets:
+        entered = tuple(d.values[order].tolist())
+        tight = tuple(entered[: j + 1] for j in ends[np.abs(violations) <= _CORE_TOL].tolist())
+    mean_gap = math.fsum(q * d.probs) - 1.0
+    max_violation = float(np.max(violations))
+    return CoreCheckReport(
+        max_violation=max_violation,
+        mean_gap=mean_gap,
+        max_equality_gap=float(np.max(np.abs(violations))),
+        tight_sets=tight,
+        tolerance=_CORE_TOL,
+        passed=max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL,
+    )
+
+
 def tight_sets_by_sort(d: EmpiricalDistribution, n: int, e: EnvelopeDensity) -> tuple:
     """Set-equality reference for ``maxvar.core_check(...).tight_sets``:
     gather each tight upper-level set from the descending-q order and sort
     its values."""
-    violations, order, ends = _upper_set_violations(d, CopyCount(n), e.q)
+    violations, order, ends = upper_set_violations_full_length(d, n, e.q)
     tight = []
     for j in ends[np.abs(violations) <= _CORE_TOL]:
         members = np.sort(d.values[order[: j + 1]])
@@ -463,7 +511,7 @@ def tight_sets_in_entry_order(d: EmpiricalDistribution, n: int, e: EnvelopeDensi
     """Reference for ``maxvar.core_check(...).tight_sets``, order included:
     the atoms stable-sorted by -q in plain Python (ties keep ascending value),
     and each tight set the first atoms of that order up to its end."""
-    violations, _, ends = _upper_set_violations(d, CopyCount(n), e.q)
+    violations, _, ends = upper_set_violations_full_length(d, n, e.q)
     q = e.q.tolist()
     values = d.values.tolist()
     entered = [values[i] for i in sorted(range(len(q)), key=lambda i: -q[i])]

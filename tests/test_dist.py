@@ -1,5 +1,6 @@
 import math
 
+import maxvar.dist as dist
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,11 +27,14 @@ from maxvar import (
     sample,
 )
 from maxvar.dist import (
+    _GUIDE_CHUNK,
     _GUIDE_MIN_SHARE,
     _GUIDE_STEPS,
     _SUM_CHUNK,
     _SUM_MIN_SIZE,
-    _inverse_cdf_index,
+    _guide_table,
+    _guided_index,
+    _inverse_cdf_values,
     _sum,
 )
 
@@ -439,7 +443,7 @@ class TestInverseCdfIndex:
         if rnd is not None:
             rnd.shuffle(keys)
         u = np.array(keys)
-        got = _inverse_cdf_index(cum, u)
+        got = _guided_index(cum, _guide_table(cum), u)
         assert got.dtype == np.intp
         assert got.tobytes() == inverse_cdf_index_by_search(cum, u).astype(np.intp).tobytes()
 
@@ -451,6 +455,34 @@ class TestInverseCdfIndex:
         got = sample(d, SeededSampler(3), u.size)
         assert got.tobytes() == d.values[inverse_cdf_index_by_search(d.cumulative, u)].tobytes()
 
+    @pytest.mark.parametrize("chunk", [3, _GUIDE_CHUNK])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "twice"])
+    @pytest.mark.parametrize("law", ["dust", "wide"])
+    def test_values_overwrite_keys_chunk_by_chunk(self, chunk, extra, law, monkeypatch):
+        # the dust law's 30 levels take the table, the wide law's
+        # 16 * (2 chunks + 2) levels the direct search, on either side of
+        # each chunk boundary
+        monkeypatch.setattr(dist, "_GUIDE_CHUNK", chunk)
+        count = 2 * chunk + 1 if extra == "twice" else chunk + extra
+        if law == "dust":
+            d = bottom_dust_law()
+        else:
+            atoms = _GUIDE_MIN_SHARE * (2 * chunk + 2)
+            d = from_samples(np.column_stack([np.arange(atoms, dtype=float), np.ones(atoms)]))
+        u = SeededSampler(count).uniforms(count)
+        keys = u.copy()
+        assert _inverse_cdf_values(d, keys) is keys
+        assert keys.tobytes() == d.values[inverse_cdf_index_by_search(d.cumulative, u)].tobytes()
+
+    def test_law_builds_its_table_once(self, monkeypatch):
+        d = from_samples([(float(v), 1.0) for v in range(40)])
+        builds = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: builds.append(a) or bincount(*a, **k))
+        first = sample(d, SeededSampler(1), 100)
+        assert sample(d, SeededSampler(1), 100).tobytes() == first.tobytes()
+        assert len(builds) == 1 and not d.guide.flags.writeable
+
     def test_crowded_cell_falls_back_to_search(self, monkeypatch):
         # the dust levels share a cell, more than the walk steps through
         cum = bottom_dust_law().cumulative
@@ -458,7 +490,8 @@ class TestInverseCdfIndex:
         search = np.searchsorted
         monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(a) or search(*a, **k))
         u = np.array([cum[-2], cum[0], 0.5])
-        assert _inverse_cdf_index(cum, u).tolist() == search(cum, u).tolist() == [28, 0, 29]
+        got = _guided_index(cum, _guide_table(cum), u)
+        assert got.tolist() == search(cum, u).tolist() == [28, 0, 29]
         assert _GUIDE_STEPS < 28 and len(calls) == 1
 
 

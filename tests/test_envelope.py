@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,14 +31,18 @@ from maxvar import (
 )
 from maxvar import envelope
 from maxvar.axioms import _random_feasible_family, random_distribution
+from maxvar.dist import _SUM_CHUNK
 
+from conftest import tier1_budget
 from helpers import (
+    core_check_full_length,
     cvar_extremal_segments,
     d4,
     mixture_density_per_segment,
     random_small_dist,
     tight_sets_by_sort,
     tight_sets_in_entry_order,
+    upper_set_violations_full_length,
 )
 
 
@@ -486,3 +492,107 @@ class TestDualGap:
             fam = _random_feasible_family(d, gen)
             gap = dual_gap(d, n, mixture_density(d, n, fam))
             assert gap >= -1e-9
+
+
+def report_bits(report):
+    # every field, each float by its bits (hex keeps the sign of zero)
+    return (
+        report.max_violation.hex(),
+        report.mean_gap.hex(),
+        report.max_equality_gap.hex(),
+        tuple(tuple(v.hex() for v in members) for members in report.tight_sets),
+        report.tolerance.hex(),
+        report.passed,
+    )
+
+
+SWEEP_DENSITIES = ("extremal", "increasing", "ties", "sorted-ties", "permuted", "off-mean", "ones")
+
+
+@st.composite
+def sweep_cases(draw):
+    """A chunk size; a law of 1-12 atoms or of chunk - 1, chunk, chunk + 1
+    or 2 chunk + 1 atoms, with masses down to 1e-20 or all equal; n; a
+    density; and whether to collect the tight sets. The density is the
+    extremal one (strictly increasing on most laws, not always on dust), a
+    strictly increasing one, one with ties in any order or sorted, the
+    extremal one permuted over the atoms, the extremal one off unit mean, or
+    the constant 1."""
+    chunk = draw(st.sampled_from([1, 2, 3, 8, envelope._SWEEP_CHUNK]))
+    sizes = st.sampled_from([chunk - 1, chunk, chunk + 1, 2 * chunk + 1])
+    m = max(1, draw(st.one_of(st.integers(1, 12), sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.sampled_from([-20.0, -2.0, 0.0]))
+    d = from_samples(np.column_stack([rng.uniform(-100.0, 100.0, m), 10.0 ** rng.uniform(low, 0.0, m)]))
+    m = d.atom_count
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(SWEEP_DENSITIES))
+    q = extremal_density(d, n).q
+    if kind == "increasing":
+        q = np.cumsum(rng.uniform(0.5, 1.5, m))
+    elif kind in ("ties", "sorted-ties"):
+        q = rng.integers(1, 4, m).astype(float)
+        if kind == "sorted-ties":
+            q.sort()
+    elif kind == "permuted":
+        q = q[rng.permutation(m)]
+    elif kind == "off-mean":
+        q = q * draw(st.sampled_from([0.5, 1.0 + 1e-6, 3.0]))
+    elif kind == "ones":
+        q = np.ones(m)
+    if kind in ("increasing", "ties", "sorted-ties"):
+        q = q / math.fsum(q * d.probs)
+    return chunk, d, n, EnvelopeDensity(q), draw(st.booleans())
+
+
+class TestCoreCheckSweep:
+    """The chunked sweep against its frozen full-length form in helpers."""
+
+    @tier1_budget(200)
+    @given(sweep_cases())
+    # one tie runs through every chunk, and a strictly increasing q across three
+    @example((2, from_samples([(float(v), 1.0) for v in range(5)]), 3, EnvelopeDensity(np.ones(5)), True))
+    @example((2, from_samples([(float(v), 1.0) for v in range(5)]), 3, extremal_density(from_samples([(float(v), 1.0) for v in range(5)]), 3), True))
+    def test_matches_full_length(self, case):
+        chunk, d, n, e, collect = case
+        violations, _, _ = upper_set_violations_full_length(d, n, e.q)
+        if np.count_nonzero(np.abs(violations) <= envelope._CORE_TOL) * d.atom_count > 2_000_000:
+            collect = False  # the sets alone would hold millions of references
+        with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
+            got = core_check(d, n, e, collect_sets=collect)
+        assert report_bits(got) == report_bits(core_check_full_length(d, n, e, collect))
+
+    def test_increasing_q_skips_the_sort(self, monkeypatch):
+        d = from_samples([(float(v), 1.0 + v % 3) for v in range(50)])
+        e, ties = extremal_density(d, 5), EnvelopeDensity(np.ones(50))
+        assert np.all(e.q[:-1] < e.q[1:])
+        want = core_check(d, 5, e), core_check(d, 5, ties)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+        assert core_check(d, 5, e) == want[0] and not sorts
+        assert core_check(d, 5, ties) == want[1] and len(sorts) == 1
+
+    def test_large_law_memory_is_chunk_sized(self):
+        # the full-length temporaries of the argsort form (7 arrays of m
+        # floats at the peak) page-faulted afresh on every call of a large
+        # law: now core_check holds the mean's product q * probs, and
+        # dual_gap maxvar_choquet's layers and products, beside the exact
+        # sum's and the sweep's chunk-sized buffers
+        rng = np.random.default_rng(5)
+        m = 100_000
+        d = from_samples(np.column_stack([rng.standard_normal(m), rng.uniform(0.5, 1.0, m)]))
+        e = extremal_density(d, 64)
+        d.cumulative
+        peaks = []
+        tracemalloc.start()
+        try:
+            for call in (lambda: core_check(d, 64, e, collect_sets=False), lambda: dual_gap(d, 64, e)):
+                tracemalloc.reset_peak()
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        buffers = _SUM_CHUNK + 8 * envelope._SWEEP_CHUNK
+        assert peaks[0] < 8 * (m + buffers)
+        assert peaks[1] < 8 * (2 * m + buffers)

@@ -57,6 +57,7 @@ from helpers import (
     left_quantile_index_by_search,
     mc_draw_then_max,
     mixture_exact_at_both_ends,
+    minvar_on_mirrored_law,
     mixture_quad_per_panel,
     random_small_dist,
     run_maxima_frozen,
@@ -682,3 +683,31 @@ class TestMinvar:
     def test_dual_to_maxvar(self, d, n):
         # minvar lower-bounds the mean the way maxvar upper-bounds it
         assert minvar(d, n) <= expectation(d) + 1e-12
+
+    @tier1_budget(300)
+    @given(
+        st.one_of(laws(max_atoms=40), dust_laws(), quad_laws(), one_atom_laws),
+        st.sampled_from([1, 2, 3, 8, 64, 2**53 + 1]),
+    )
+    def test_matches_mirrored_law(self, d, n):
+        # read from d.survival, the bits of maxvar on the law of -X
+        assert minvar(d, n).hex() == minvar_on_mirrored_law(d, n).hex()
+
+    @pytest.mark.parametrize(
+        "raw, n",
+        [
+            ([(0.0, 1.0)], 1),
+            ([(-0.0, 1.0)], 3),
+            ([(-1.0, 1.0), (1.0, 1.0)], 1),
+            # the top atom's layer S_0^n underflows to 0, leaving 0 * 1 + 1 * 0
+            ([(0.0, 1.0), (1.0, 1.0)], 2**53 + 1),
+            ([(-0.0, 1.0), (5.0, 1.0)], 2**53 + 1),
+            ([(-2.0, 1.0), (0.0, 2.0), (2.0, 1.0)], 1),
+        ],
+    )
+    def test_zero_results_keep_their_sign(self, raw, n):
+        # the minimum is exactly 0 here; no random draw lands on an exact zero
+        d = from_samples(raw)
+        got = minvar(d, n)
+        assert got == 0.0
+        assert got.hex() == minvar_on_mirrored_law(d, n).hex()
