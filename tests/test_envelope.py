@@ -506,6 +506,7 @@ def report_bits(report):
     )
 
 
+EVEN5 = from_samples([(float(v), 1.0) for v in range(5)])
 SWEEP_DENSITIES = ("extremal", "increasing", "ties", "sorted-ties", "permuted", "off-mean", "ones")
 
 
@@ -523,7 +524,8 @@ def sweep_cases(draw):
     m = max(1, draw(st.one_of(st.integers(1, 12), sizes)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low = draw(st.sampled_from([-20.0, -2.0, 0.0]))
-    d = from_samples(np.column_stack([rng.uniform(-100.0, 100.0, m), 10.0 ** rng.uniform(low, 0.0, m)]))
+    masses = 10.0 ** rng.uniform(low, 0.0, m)
+    d = from_samples(np.column_stack([rng.uniform(-100.0, 100.0, m), masses]))
     m = d.atom_count
     n = draw(st.integers(1, 64))
     kind = draw(st.sampled_from(SWEEP_DENSITIES))
@@ -550,9 +552,10 @@ class TestCoreCheckSweep:
 
     @tier1_budget(200)
     @given(sweep_cases())
-    # one tie runs through every chunk, and a strictly increasing q across three
-    @example((2, from_samples([(float(v), 1.0) for v in range(5)]), 3, EnvelopeDensity(np.ones(5)), True))
-    @example((2, from_samples([(float(v), 1.0) for v in range(5)]), 3, extremal_density(from_samples([(float(v), 1.0) for v in range(5)]), 3), True))
+    # at two atoms a chunk: one tie through every chunk, and a strictly
+    # increasing q across three chunks
+    @example((2, EVEN5, 3, EnvelopeDensity(np.ones(5)), True))
+    @example((2, EVEN5, 3, extremal_density(EVEN5, 3), True))
     def test_matches_full_length(self, case):
         chunk, d, n, e, collect = case
         violations, _, _ = upper_set_violations_full_length(d, n, e.q)
@@ -587,10 +590,11 @@ class TestCoreCheckSweep:
         peaks = []
         tracemalloc.start()
         try:
-            for call in (lambda: core_check(d, 64, e, collect_sets=False), lambda: dual_gap(d, 64, e)):
-                tracemalloc.reset_peak()
-                call()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+            core_check(d, 64, e, collect_sets=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            dual_gap(d, 64, e)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         buffers = _SUM_CHUNK + 8 * envelope._SWEEP_CHUNK
