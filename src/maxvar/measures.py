@@ -484,23 +484,5 @@ def maxvar_mc(
 
 
 def minvar(d: EmpiricalDistribution, nc) -> float:
-    """Expected minimum of n i.i.d. copies, via minvar_n(X) = -maxvar_n(-X),
-    with maxvar_n(-X) evaluated as :func:`maxvar_choquet` would on the law
-    of -X, bit for bit, without building that law.
-
-    -X has the atoms -v_k + 0.0 (a zero becomes +0.0) in reverse order, and
-    its cumulative probabilities are ``d.survival`` reversed and shifted by
-    one, clipped at 1, with the top pinned to 1: both come from the same
-    cumsum of the reversed masses. So the layer of atom k is
-    S_{k-1}^n - S_k^n with S = min(survival, 1) and S_{-1}^n = 1. The sum
-    is correctly rounded, so the order of its terms does not matter. Two
-    arrays of m floats are allocated.
-    """
-    cc = _copy_count(nc)
-    powered = np.minimum(d.survival, 1.0)
-    powered **= cc.n
-    terms = np.empty_like(powered)
-    terms[0] = 1.0 - powered[0]
-    np.subtract(powered[:-1], powered[1:], out=terms[1:])
-    terms *= np.subtract(0.0, d.values, out=powered)
-    return -_sum(terms)
+    """Expected minimum of n i.i.d. copies, via minvar_n(X) = -maxvar_n(-X)."""
+    return -maxvar_choquet(affine(d, -1.0, 0.0), _copy_count(nc))

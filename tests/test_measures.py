@@ -687,10 +687,10 @@ class TestMinvar:
     @tier1_budget(300)
     @given(
         st.one_of(laws(max_atoms=40), dust_laws(), quad_laws(), one_atom_laws),
-        st.sampled_from([1, 2, 3, 8, 64, 2**53 + 1]),
+        st.sampled_from([1, 2, 3, 8, 64, 2**53 + 1, 2**128]),
     )
     def test_matches_mirrored_law(self, d, n):
-        # read from d.survival, the bits of maxvar on the law of -X
+        # the bits of maxvar on the law of -X, built and summed by references
         assert minvar(d, n).hex() == minvar_on_mirrored_law(d, n).hex()
 
     @pytest.mark.parametrize(
@@ -699,7 +699,7 @@ class TestMinvar:
             ([(0.0, 1.0)], 1),
             ([(-0.0, 1.0)], 3),
             ([(-1.0, 1.0), (1.0, 1.0)], 1),
-            # the top atom's layer S_0^n underflows to 0, leaving 0 * 1 + 1 * 0
+            # the mirrored law's bottom layer 2^-n underflows to 0, leaving -1 * 0 + 0 * 1
             ([(0.0, 1.0), (1.0, 1.0)], 2**53 + 1),
             ([(-0.0, 1.0), (5.0, 1.0)], 2**53 + 1),
             ([(-2.0, 1.0), (0.0, 2.0), (2.0, 1.0)], 1),
