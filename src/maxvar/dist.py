@@ -74,24 +74,24 @@ def _sum(x) -> float:
     - Extraction (Rump, Ogita and Oishi, "Accurate floating-point
       summation, part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
       2008). Let ``top < 2**e`` bound every |x|, ``n + 2 < 2**b`` and
-      ``sigma = 2**(e + b)``. Then each ``q = (sigma + x) - sigma`` is exact,
-      a multiple of ``2**(e + b - 53)`` and at most ``2**e`` in size, and
-      ``r = x - q`` is exact with ``|r| <= 2**(e + b - 53)``. Every partial
-      sum of the q's is such a multiple below ``sigma``, so ``head``, their
-      float sum in any order, is exact.
-    - Bound. ``rest``, the float sum of the r's, puts each term through at
-      most ``D = 2 * 127 + chunks - 1`` roundings (a chunk's columns, its
-      column sums, then the running total over chunks). So it is within
-      ``gamma_D * sum|r| <= gamma_D * n * 2**(e + b - 53)`` of the exact
-      sum of the r's (Higham, *Accuracy and Stability of Numerical
-      Algorithms*, 2nd ed., 2002, ch. 4). ``err`` takes ``2 D u`` for
-      ``gamma_D`` and adds ``n * 2**-1073``, which covers underflow and the
-      roundings of ``err`` itself.
-    - Certificate. TwoSum splits ``head + rest`` into ``s + t`` exactly, so
-      the exact sum lies in ``[s + t - err, s + t + err]``. When that
-      interval lies strictly inside the half-gaps to the floats on either
-      side of ``s``, the exact sum rounds to ``s`` and is no tie, so ``s``
-      is fsum's result bit for bit. The half-gaps are powers of two, or 0
+      ``sigma = 2**(e + b)`` (:func:`_sigma_exponent`). Then each ``q =
+      (sigma + x) - sigma`` is exact, a multiple of ``2**(e + b - 53)`` and
+      at most ``2**e`` in size, and ``r = x - q`` is exact with ``|r| <=
+      2**(e + b - 53)``. Every partial sum of the q's is such a multiple
+      below ``sigma``, so ``head``, their float sum in any order, is exact.
+    - Bound (:func:`_sum_error`). ``rest``, the float sum of the r's, puts
+      each term through at most ``D = 2 * 127 + chunks - 1`` roundings (a
+      chunk's columns, its column sums, then the running total over
+      chunks). So it is within ``gamma_D * sum|r| <= gamma_D * n * 2**(e +
+      b - 53)`` of the exact sum of the r's (Higham, *Accuracy and Stability
+      of Numerical Algorithms*, 2nd ed., 2002, ch. 4). ``err`` takes ``2 D
+      u`` for ``gamma_D`` and adds ``n * 2**-1073``, which covers underflow
+      and the roundings of ``err`` itself.
+    - Certificate (:func:`_certify`). TwoSum splits ``head + rest`` into
+      ``s + t`` exactly, so the exact sum lies in ``[s + t - err, s + t +
+      err]``. When that interval lies strictly inside the half-gaps to the
+      floats on either side of ``s``, the exact sum rounds to ``s`` and is
+      no tie, so ``s`` is fsum's result bit for bit. The half-gaps are powers of two, or 0
       when ``s`` is zero or below the normal range, so comparing the rounded
       ``t + err`` and ``t - err`` with them can only err towards a refusal.
 
@@ -100,6 +100,10 @@ def _sum(x) -> float:
     ``2**-900`` are refused, and go to ``math.fsum`` after all, fed
     ``_SUM_CHUNK`` floats at a time as lists: as fast as one list of the
     whole array, with one chunk's list in memory at a time.
+
+    :func:`_row_sums` runs the same proof on every row of a matrix at once,
+    with one sigma per row and a depth of the row's width less one; the
+    three helpers named above serve both.
     """
     if not (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64):
         return math.fsum(x)
@@ -121,8 +125,7 @@ def _certified_sum(x: np.ndarray, top: float) -> float | None:
     if not top >= _SUM_MIN_TOP:
         return None
     n = x.size
-    k = math.frexp(top)[1] + (n + 2).bit_length()
-    sigma = 2.0**k
+    sigma = 2.0 ** _sigma_exponent(math.frexp(top)[1], n)
     buf = np.empty(min(_SUM_CHUNK, -(-n // _SUM_ROW) * _SUM_ROW))
     head = rest = 0.0
     for start in range(0, n, _SUM_CHUNK):
@@ -135,15 +138,72 @@ def _certified_sum(x: np.ndarray, top: float) -> float | None:
         buf[chunk.size :] = 0.0  # the rows of a short chunk end in zeros
         rest += float(buf.reshape(-1, _SUM_ROW).sum(axis=0).sum())
     depth = 2 * (_SUM_ROW - 1) + -(-n // _SUM_CHUNK) - 1
-    err = depth * 2.0**-52 * (n * 2.0 ** (k - 53)) + n * 2.0**-1073
+    s, certified = _certify(head, rest, _sum_error(depth, n, sigma), math.nextafter)
+    return s if certified else None
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of the 2-d float64 array ``x``,
+    each bit-identical to ``math.fsum`` of that row.
+
+    The row form of :func:`_sum`'s certified path, all rows in one pass: a
+    sigma per row from its largest |x|, one extraction, ``sum(axis=1)`` for
+    the heads and for the residuals, and the certificate per row. Any order
+    of adding a row of ``w`` terms puts each term through at most ``w - 1``
+    roundings, so that is the bound's depth. A row that is refused, or has
+    an entry that is not finite or not below ``2**960`` in size, goes to
+    ``math.fsum`` as a list, in row order, so the first such row whose fsum
+    raises raises its ``OverflowError`` or ``ValueError`` here.
+    """
+    rows, width = x.shape
+    top = np.abs(x).max(axis=1, initial=0.0)
+    sure = (top >= _SUM_MIN_TOP) & (top < _SUM_MAX_ABS)
+    every = bool(sure.all())
+    part = x if every else x[sure]
+    sigma = np.ldexp(1.0, _sigma_exponent(np.frexp(top if every else top[sure])[1], width))
+    column = sigma[:, None]
+    q = part + column
+    q -= column
+    head = q.sum(axis=1)
+    np.subtract(part, q, out=q)  # the residuals r
+    s, certified = _certify(
+        head, q.sum(axis=1), _sum_error(width - 1, width, sigma), np.nextafter
+    )
+    if every and certified.all():
+        return s
+    sure[sure] = certified
+    out = np.empty(rows)
+    out[sure] = s[certified]
+    for row in np.flatnonzero(~sure).tolist():
+        out[row] = math.fsum(x[row].tolist())
+    return out
+
+
+def _sigma_exponent(e, n: int):
+    """The exponent of the extraction's ``sigma`` for ``n`` terms below
+    ``2**e`` in size: ``e + b`` with ``n + 2 < 2**b``. ``e`` may be an int or
+    an integer array."""
+    return e + (n + 2).bit_length()
+
+
+def _sum_error(depth: int, n: int, sigma):
+    """The certificate's bound on the error of the residuals' float sum:
+    ``n`` residuals of at most ``sigma * 2**-53`` in size, each through at
+    most ``depth`` roundings. ``sigma`` is a power of two or an array of
+    them; the product before it is exact while ``depth * n < 2**53``."""
+    return depth * n * 2.0**-105 * sigma + n * 2.0**-1073
+
+
+def _certify(head, rest, err, nextafter):
+    """``s = head + rest`` and whether the exact sum, within ``err`` of
+    ``head + rest``, is certified to round to ``s``: floats with
+    ``math.nextafter``, or arrays elementwise with ``np.nextafter``."""
     s = head + rest
     rest_part = s - head
     t = (head - (s - rest_part)) + (rest - rest_part)
-    above = (math.nextafter(s, math.inf) - s) * 0.5
-    below = (s - math.nextafter(s, -math.inf)) * 0.5
-    if t + err < above and t - err > -below:
-        return s
-    return None
+    above = (nextafter(s, math.inf) - s) * 0.5
+    below = (s - nextafter(s, -math.inf)) * 0.5
+    return s, (t + err < above) & (t - err > -below)
 
 
 def _check_probs(probs, tol: float = PROB_SUM_TOL, what: str = "probabilities") -> float:

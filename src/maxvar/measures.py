@@ -33,6 +33,7 @@ from .dist import (
     SeededSampler,
     _integer,
     _inverse_cdf_values,
+    _row_sums,
     _sum,
     _unit_interval,
     affine,
@@ -346,8 +347,13 @@ def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
 def quadrature_breakpoints(d: EmpiricalDistribution) -> np.ndarray:
     """Cumulative probabilities strictly inside (0, 1); the mixture integrand
     is non-smooth exactly there."""
+    # the levels are positive and ascend, so those below 1.0 are a prefix,
+    # and a run of equal levels keeps its first entry
     interior = d.cumulative[:-1]
-    return np.unique(interior[(interior > 0.0) & (interior < 1.0)])
+    inside = interior[: np.searchsorted(interior, 1.0)]
+    first = np.ones(len(inside), dtype=bool)
+    np.not_equal(inside[1:], inside[:-1], out=first[1:])
+    return inside[first]
 
 
 def suggest_rule(d: EmpiricalDistribution, points_per_panel: int = 16) -> QuadratureRule:
@@ -399,13 +405,12 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     k = _var_index(d, x)
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = cc.tail_weight(x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
-        # one .tolist() for all panels: each short row is then fsummed as a list,
-        # the same sums in the same order as over numpy rows, minus a scalar each
-        rows = (gl_weights * integrand).tolist()
-    try:
-        value = _sum([h * _sum(row) for h, row in zip(half[:, 0].tolist(), rows)])
-    except (OverflowError, ValueError):  # a partial sum past the float range
-        value = math.nan
+        # every panel's row in one certified pass; a refused row's fsum can
+        # raise, like the outer sum's
+        try:
+            value = _sum(half[:, 0] * _row_sums(gl_weights * integrand))
+        except (OverflowError, ValueError):  # a partial sum past the float range
+            value = math.nan
     if math.isfinite(value):
         return value
     return _RESCALE * maxvar_mixture_quad(affine(d, 1.0 / _RESCALE, 0.0), cc, q)

@@ -31,7 +31,6 @@ from maxvar import (
     SeededSampler,
     expectation,
     from_samples,
-    quadrature_breakpoints,
 )
 from maxvar._serialize import format_rows
 from maxvar.cli import PROB_COLUMN
@@ -431,14 +430,21 @@ def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> E
     return EnvelopeDensity(q)
 
 
-def mixture_quad_per_panel(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> float:
-    """Reference that ``maxvar.maxvar_mixture_quad`` must match bit for bit:
-    the Gauss-Legendre nodes are solved afresh on every call and each panel's
-    numpy row is summed as it is. Sums use ``math.fsum``, which the library's
-    exact sum matches bit for bit."""
-    if n == 1:
-        return expectation(d)
-    breaks = quadrature_breakpoints(d)
+def quadrature_breakpoints_unique(d: EmpiricalDistribution) -> np.ndarray:
+    """Reference that ``maxvar.quadrature_breakpoints`` must match bit for
+    bit: the interior cumulative levels, sorted and deduplicated by
+    ``np.unique``."""
+    interior = d.cumulative[:-1]
+    return np.unique(interior[(interior > 0.0) & (interior < 1.0)])
+
+
+def quad_panels(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> tuple:
+    """The half-width of each panel of ``q`` on ``d``, and the matrix whose
+    row i holds panel i's Gauss-Legendre weights times the integrand at its
+    nodes, as ``maxvar.maxvar_mixture_quad`` forms them before any rescaling;
+    entries past the float range are inf. The nodes are solved afresh and the
+    breakpoints come from :func:`quadrature_breakpoints_unique`."""
+    breaks = quadrature_breakpoints_unique(d)
     if q.panels < len(breaks) + 1:
         raise BudgetTooSmall(
             f"{q.panels} panels cannot snap to {len(breaks)} breakpoints; "
@@ -453,8 +459,20 @@ def mixture_quad_per_panel(d: EmpiricalDistribution, n: int, q: QuadratureRule) 
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
     k = _var_index(d, x)
-    integrand = tail_weight_frozen(n, x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
-    return math.fsum([h * math.fsum(row) for h, row in zip(half[:, 0], gl_weights * integrand)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = tail_weight_frozen(n, x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
+        return half[:, 0], gl_weights * integrand
+
+
+def mixture_quad_per_panel(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> float:
+    """Reference that ``maxvar.maxvar_mixture_quad`` must match bit for bit
+    on laws whose sums stay in the float range: each row of
+    :func:`quad_panels` is summed on its own. Sums use ``math.fsum``, which
+    the library's exact sum matches bit for bit."""
+    if n == 1:
+        return expectation(d)
+    half, rows = quad_panels(d, n, q)
+    return math.fsum([h * math.fsum(row) for h, row in zip(half, rows)])
 
 
 def upper_set_violations_full_length(d: EmpiricalDistribution, n: int, q: np.ndarray) -> tuple:

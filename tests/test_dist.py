@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import maxvar.dist as dist
 import numpy as np
@@ -25,6 +26,7 @@ from maxvar import (
     portfolio_law,
     quantile,
     sample,
+    suggest_rule,
 )
 from maxvar.dist import (
     _GUIDE_CHUNK,
@@ -35,6 +37,7 @@ from maxvar.dist import (
     _guide_table,
     _guided_index,
     _inverse_cdf_values,
+    _row_sums,
     _sum,
 )
 
@@ -46,6 +49,7 @@ from helpers import (
     inverse_cdf_index_by_search,
     law_outcome,
     portfolio_law_via_pairs,
+    quad_panels,
 )
 
 
@@ -526,9 +530,10 @@ def sum_outcome(f, x):
         return type(exc)
 
 
-@st.composite
-def sum_inputs(draw):
-    n = draw(st.sampled_from(SUM_LENGTHS))
+def sum_terms(draw, n):
+    # n terms of one kind: cancelling pairs with dust, subnormals, a wide
+    # spread, signed zeros, a sum on or next to a rounding midpoint, or a few
+    # drawn floats repeated
     kind = draw(st.sampled_from(["cancel", "subnormal", "wide", "zeros", "midpoint", "drawn"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "cancel":
@@ -558,8 +563,39 @@ def sum_inputs(draw):
     else:
         # few distinct values repeated: infinities, nan and 1e308 included
         x = np.resize(np.array(draw(st.lists(st.floats(), min_size=1, max_size=6))), n)
+    return x
+
+
+@st.composite
+def sum_inputs(draw):
+    x = sum_terms(draw, draw(st.sampled_from(SUM_LENGTHS)))
     if draw(st.booleans()):
         x = np.repeat(x, 2)[::2]  # a strided view, like a CSV column
+    return x
+
+
+@st.composite
+def row_sum_inputs(draw):
+    # 1-200 rows of width 2-64, each a copy of one of a few drawn rows of
+    # sum_terms' kinds scaled by a power of two; then an inf in some rows, or
+    # both infinities in one, and a column-major or strided layout
+    width = draw(st.integers(2, 64))
+    rows = draw(st.integers(1, 200))
+    drawn = np.array([sum_terms(draw, width) for _ in range(draw(st.integers(1, 6)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):
+        x = drawn[rng.integers(len(drawn), size=rows)] * np.ldexp(1.0, rng.integers(-8, 9, rows))[:, None]
+    special = draw(st.sampled_from(["none", "inf", "both"]))
+    if special == "inf":
+        for row in rng.integers(rows, size=3).tolist():
+            x[row, rng.integers(width)] = rng.choice([math.inf, -math.inf])
+    elif special == "both":
+        x[rng.integers(rows), [0, -1]] = math.inf, -math.inf
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = np.repeat(x, 2, axis=1)[:, ::2]
     return x
 
 
@@ -625,3 +661,54 @@ class TestExactSum:
         monkeypatch.setattr(math, "fsum", recorded)
         assert [_sum(x).hex() for x in arrays] == expected
         assert sizes == [1000, 1000, 1600, 2 * _SUM_CHUNK + 7]
+
+
+def on_a_midpoint(terms) -> bool:
+    """Whether the exact sum of ``terms`` lies within 2**-80 of its size of
+    the midpoint between its correctly rounded float and a neighbour."""
+    exact = sum(map(Fraction, terms))
+    rounded = float(exact)
+    return any(
+        abs(exact - (Fraction(rounded) + Fraction(math.nextafter(rounded, way))) / 2)
+        <= abs(exact) * Fraction(2) ** -80
+        for way in (math.inf, -math.inf)
+    )
+
+
+def row_sums_outcome(x):
+    """Each row's bits, or the error type of the call."""
+    try:
+        return [s.hex() for s in _row_sums(x).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestRowSums:
+    @tier1_budget(300)
+    @given(row_sum_inputs())
+    def test_bit_identical_to_fsum_per_row(self, x):
+        # a row whose fsum raises makes the call raise, the first one's error
+        expected = [sum_outcome(math.fsum, row) for row in x.tolist()]
+        errors = [outcome for outcome in expected if isinstance(outcome, type)]
+        assert row_sums_outcome(x) == (errors[0] if errors else expected)
+
+    def test_panel_rows_take_the_certified_path(self, monkeypatch):
+        # mixture-quad's panel matrix on a law of positive values, where no
+        # row cancels or sums to zero. A few rows' exact sums still lie on a
+        # rounding midpoint (16 terms of like size leave their sum only a few
+        # bits below its last place); those rows alone may reach fsum.
+        rng = np.random.default_rng(22)
+        d = from_samples(np.column_stack([rng.uniform(1.0, 100.0, 150), rng.random(150) + 0.5]))
+        rows = quad_panels(d, 8, suggest_rule(d))[1].tolist()
+        expected = [math.fsum(row).hex() for row in rows]
+        ties = [row for row in rows if on_a_midpoint(row)]
+        fsummed = []
+        fsum = math.fsum
+
+        def recorded(values):
+            fsummed.append(values)
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", recorded)
+        assert row_sums_outcome(np.array(rows)) == expected
+        assert fsummed == ties and len(ties) < len(rows) // 20

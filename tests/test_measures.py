@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from maxvar import (
     BudgetTooSmall,
     CopyCount,
+    EmpiricalDistribution,
     NonFiniteValue,
     OutOfRange,
     QuadratureRule,
@@ -17,6 +18,7 @@ from maxvar import (
     RiskLevel,
     SeededSampler,
     abs_expectation,
+    affine,
     cvar_choquet,
     cvar_min,
     distortion_h,
@@ -30,15 +32,18 @@ from maxvar import (
     maxvar_mixture_quad,
     maxvar_spectral,
     minvar,
+    quadrature_breakpoints,
     suggest_rule,
     var,
     weight,
     weight_cdf,
 )
+from maxvar.dist import _row_sums
 from maxvar.measures import (
     _FOLD_MAX_N,
     _MC_CHUNK,
     _MC_MAX_DRAWS,
+    _RESCALE,
     _gauss_legendre,
     _left_quantile_index,
     _var_index,
@@ -59,6 +64,8 @@ from helpers import (
     mixture_exact_at_both_ends,
     minvar_on_mirrored_law,
     mixture_quad_per_panel,
+    quad_panels,
+    quadrature_breakpoints_unique,
     random_small_dist,
     run_maxima_frozen,
     spectral_by_search,
@@ -98,6 +105,11 @@ copies = st.integers(1, 6)
 # counts past 2^53, where n - 1 no longer rounds apart from n, up to the bound
 huge_copies = st.sampled_from([2**53 + 1, 2**128])
 one_atom_laws = st.floats(-1e8, 1e8).map(lambda v: from_samples([(v, 1.0)]))
+# mixture-quad's panel products overflow on both laws before the rescale: on
+# the first a row's sum leaves the float range at n = 2, on the second a row
+# holds both +inf and -inf at n = 128
+NEAR_RANGE = [(0.0, 1.0), (1e300, 1.0), (1.7e308, 2.0)]
+BOTH_INFINITIES = [(-8e307, 1.0), (8e307, 0.01)]
 
 
 @st.composite
@@ -476,14 +488,30 @@ class TestMixtureQuad:
         c = from_samples([(7.25, 1)])
         assert abs(maxvar_mixture_quad(c, 3, QuadratureRule(panels=1)) - 7.25) <= 1e-12
 
-    @pytest.mark.parametrize("n", [2, 5, 64])
+    @pytest.mark.parametrize("n", [2, 5, 64, 128])
     def test_atoms_near_the_float_range(self, n):
         # the integrand overflows on these atoms, so the rule runs on the law
         # divided by 2**600, an exact scaling, and agrees with choquet
-        d = from_samples([(0.0, 1.0), (1e300, 1.0), (1.7e308, 2.0)])
-        value = maxvar_mixture_quad(d, n, suggest_rule(d, max(16, n // 2)))
-        assert math.isfinite(value)
-        assert value == pytest.approx(maxvar_choquet(d, n), rel=1e-13)
+        for rows in (NEAR_RANGE, BOTH_INFINITIES):
+            d = from_samples(rows)
+            value = maxvar_mixture_quad(d, n, suggest_rule(d, max(16, n // 2)))
+            assert math.isfinite(value)
+            assert value == pytest.approx(maxvar_choquet(d, n), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        ("rows", "n", "error"),
+        [
+            (NEAR_RANGE, 2, OverflowError),  # a row's partial sum leaves the float range
+            (BOTH_INFINITIES, 128, ValueError),  # a row holds both +inf and -inf
+        ],
+    )
+    def test_row_sum_errors_reach_the_rescale(self, rows, n, error):
+        d = from_samples(rows)
+        rule = suggest_rule(d, max(16, n // 2))
+        with pytest.raises(error):
+            _row_sums(quad_panels(d, n, rule)[1])
+        small = affine(d, 1.0 / _RESCALE, 0.0)
+        assert maxvar_mixture_quad(d, n, rule) == _RESCALE * mixture_quad_per_panel(small, n, rule)
 
     def test_cross_method_n5(self):
         d = d4()
@@ -508,7 +536,7 @@ class TestMixtureQuad:
         assert abs(value - 2e-10) <= 1e-12 * 2e-10
 
 
-    @settings(max_examples=300, deadline=None)
+    @tier1_budget(300)
     @given(
         st.one_of(quad_laws(), one_atom_laws),
         st.integers(1, 64),
@@ -538,6 +566,30 @@ class TestMixtureQuad:
             values.append(maxvar_mixture_quad(d, 40, rule))
             assert values[-1].hex() == mixture_quad_per_panel(d, 40, rule).hex()
         assert values[0] == values[2] != values[1]
+
+
+def clipped_law():
+    # the probabilities' running sum passes 1.0 at the middle atom
+    return EmpiricalDistribution(np.array([0.0, 1.0, 2.0]), np.array([0.3, 0.7000000000000002, 1e-17]))
+
+
+class TestQuadratureBreakpoints:
+    @tier1_budget(300)
+    @given(st.one_of(quad_laws(), dust_laws(), one_atom_laws))
+    # tied levels: the dust adds nothing to 0.5; levels of exactly 1.0 below
+    # the top atom, one reached by the sum and one clipped from above
+    @example(from_samples([(0.0, 0.5), (1.0, 1e-17), (2.0, 1e-17), (3.0, 0.5)]))
+    @example(from_samples([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-17), (3.0, 1e-17)]))
+    @example(clipped_law())
+    def test_matches_unique_form(self, d):
+        got = quadrature_breakpoints(d)
+        assert got.dtype == np.float64
+        assert got.tobytes() == quadrature_breakpoints_unique(d).tobytes()
+
+    def test_clipped_levels(self):
+        d = clipped_law()
+        assert np.cumsum(d.probs)[1] > 1.0 and d.cumulative.tolist() == [0.3, 1.0, 1.0]
+        assert quadrature_breakpoints(d).tolist() == [0.3]
 
 
 class TestMonteCarlo:
