@@ -153,30 +153,24 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     roundings, so that is the bound's depth. A row that is refused, or has
     an entry that is not finite or not below ``2**960`` in size, goes to
     ``math.fsum`` as a list, in row order, so the first such row whose fsum
-    raises raises its ``OverflowError`` or ``ValueError`` here.
+    raises raises its ``OverflowError`` or ``ValueError`` here. Such rows'
+    passes may overflow or meet inf - inf; their results are discarded, so
+    those warnings are silenced.
     """
-    rows, width = x.shape
+    width = x.shape[1]
     top = np.abs(x).max(axis=1, initial=0.0)
-    sure = (top >= _SUM_MIN_TOP) & (top < _SUM_MAX_ABS)
-    every = bool(sure.all())
-    part = x if every else x[sure]
-    sigma = np.ldexp(1.0, _sigma_exponent(np.frexp(top if every else top[sure])[1], width))
-    column = sigma[:, None]
-    q = part + column
-    q -= column
-    head = q.sum(axis=1)
-    np.subtract(part, q, out=q)  # the residuals r
-    s, certified = _certify(
-        head, q.sum(axis=1), _sum_error(width - 1, width, sigma), np.nextafter
-    )
-    if every and certified.all():
-        return s
-    sure[sure] = certified
-    out = np.empty(rows)
-    out[sure] = s[certified]
-    for row in np.flatnonzero(~sure).tolist():
-        out[row] = math.fsum(x[row].tolist())
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.ldexp(1.0, _sigma_exponent(np.frexp(top)[1], width))[:, None]
+        q = x + sigma
+        q -= sigma
+        head = q.sum(axis=1)
+        np.subtract(x, q, out=q)  # the residuals r
+        err = _sum_error(width - 1, width, sigma[:, 0])
+        s, certified = _certify(head, q.sum(axis=1), err, np.nextafter)
+    certified &= (top >= _SUM_MIN_TOP) & (top < _SUM_MAX_ABS)
+    for row in np.flatnonzero(~certified).tolist():
+        s[row] = math.fsum(x[row].tolist())
+    return s
 
 
 def _sigma_exponent(e, n: int):
