@@ -52,8 +52,8 @@ _SUM_ROW = 128
 # Below this bound no partial sum of fewer than 2**63 elements can overflow,
 # so fsum never raises on the inputs the certified path takes.
 _SUM_MAX_ABS = 2.0**960
-# Arrays whose largest |x| is below this (all zeros too) skip the certified
-# path, which keeps its extraction unit far above the subnormals.
+# Arrays and rows whose largest |x| is below this (all zeros too) skip the
+# certified path, which keeps its extraction unit far above the subnormals.
 _SUM_MIN_TOP = 2.0**-900
 
 
@@ -91,9 +91,10 @@ def _sum(x) -> float:
       ``s + t`` exactly, so the exact sum lies in ``[s + t - err, s + t +
       err]``. When that interval lies strictly inside the half-gaps to the
       floats on either side of ``s``, the exact sum rounds to ``s`` and is
-      no tie, so ``s`` is fsum's result bit for bit. The half-gaps are powers of two, or 0
-      when ``s`` is zero or below the normal range, so comparing the rounded
-      ``t + err`` and ``t - err`` with them can only err towards a refusal.
+      no tie, so ``s`` is fsum's result bit for bit. The half-gaps are
+      powers of two, or 0 when ``s`` is zero or below the normal range, so
+      comparing the rounded ``t + err`` and ``t - err`` with them can only
+      err towards a refusal.
 
     An exact zero (its sign is not certified), a sum on or near a rounding
     midpoint, heavy cancellation and arrays whose largest |x| is below

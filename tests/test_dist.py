@@ -584,7 +584,8 @@ def row_sum_inputs(draw):
     drawn = np.array([sum_terms(draw, width) for _ in range(draw(st.integers(1, 6)))])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     with np.errstate(over="ignore"):
-        x = drawn[rng.integers(len(drawn), size=rows)] * np.ldexp(1.0, rng.integers(-8, 9, rows))[:, None]
+        scale = np.ldexp(1.0, rng.integers(-8, 9, rows))[:, None]
+        x = drawn[rng.integers(len(drawn), size=rows)] * scale
     special = draw(st.sampled_from(["none", "inf", "both"]))
     if special == "inf":
         for row in rng.integers(rows, size=3).tolist():

@@ -570,7 +570,8 @@ class TestMixtureQuad:
 
 def clipped_law():
     # the probabilities' running sum passes 1.0 at the middle atom
-    return EmpiricalDistribution(np.array([0.0, 1.0, 2.0]), np.array([0.3, 0.7000000000000002, 1e-17]))
+    probs = np.array([0.3, 0.7000000000000002, 1e-17])
+    return EmpiricalDistribution(np.array([0.0, 1.0, 2.0]), probs)
 
 
 class TestQuadratureBreakpoints:
