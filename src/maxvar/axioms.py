@@ -33,6 +33,7 @@ from .dist import (
 )
 from .envelope import (
     CvarFeasibleFamily,
+    _member_gap,
     core_check,
     dual_gap,
     extremal_density,
@@ -117,6 +118,12 @@ def _record(name: str, violation: float, tolerance: float, witness: str) -> Chec
     )
 
 
+# Each check's record is built by one private function from the numbers it
+# reads; the public check evaluates those numbers and calls it, and
+# run_suite, which evaluates each law and route value of a trial once,
+# calls the same builders.
+
+
 def check_constant(nc, c: float) -> CheckRecord:
     """Constancy: the measure of a constant is the constant."""
     cc = _copy_count(nc)
@@ -127,17 +134,27 @@ def check_constant(nc, c: float) -> CheckRecord:
     )
 
 
+def _subadditivity_record(t: ScenarioTable, cc, joint, split) -> CheckRecord:
+    return _record(
+        "subadditivity",
+        joint - split,
+        1e-9,
+        f"scenarios={len(t.rows)} n={cc.n} lhs={joint!r} rhs={split!r}",
+    )
+
+
 def check_subadditivity(t: ScenarioTable, nc) -> CheckRecord:
     """maxvar_n(X+Y) <= maxvar_n(X) + maxvar_n(Y) on the joint law of the
     table's columns ``x`` and ``y``."""
     cc = _copy_count(nc)
     joint = maxvar_choquet(portfolio_law(t, X_PLUS_Y), cc)
     split = maxvar_choquet(portfolio_law(t, X), cc) + maxvar_choquet(portfolio_law(t, Y), cc)
+    return _subadditivity_record(t, cc, joint, split)
+
+
+def _monotonicity_record(t: ScenarioTable, cc, low, high) -> CheckRecord:
     return _record(
-        "subadditivity",
-        joint - split,
-        1e-9,
-        f"scenarios={len(t.rows)} n={cc.n} lhs={joint!r} rhs={split!r}",
+        "A3-monotonicity", low - high, 1e-9, f"scenarios={len(t.rows)} n={cc.n}"
     )
 
 
@@ -148,8 +165,15 @@ def check_monotonicity(t: ScenarioTable, nc) -> CheckRecord:
         raise PreconditionViolated("monotonicity needs x <= y in every scenario")
     low = maxvar_choquet(portfolio_law(t, X), cc)
     high = maxvar_choquet(portfolio_law(t, Y), cc)
+    return _monotonicity_record(t, cc, low, high)
+
+
+def _homogeneity_record(d: EmpiricalDistribution, cc, lam, base, scaled) -> CheckRecord:
     return _record(
-        "A3-monotonicity", low - high, 1e-9, f"scenarios={len(t.rows)} n={cc.n}"
+        "A5-positive-homogeneity",
+        abs(scaled - lam * base),
+        1e-9 * max(1.0, abs(lam * base)),
+        f"lam={lam!r} n={cc.n} atoms={d.atom_count}",
     )
 
 
@@ -161,12 +185,15 @@ def check_positive_homogeneity(d: EmpiricalDistribution, nc, lam: float) -> Chec
         raise OutOfRange(f"lambda must be > 0, got {lam!r}")
     base = maxvar_choquet(d, cc)
     scaled = maxvar_choquet(affine(d, lam, 0.0), cc)
-    violation = abs(scaled - lam * base)
+    return _homogeneity_record(d, cc, lam, base, scaled)
+
+
+def _translation_record(d: EmpiricalDistribution, cc, c, base, shifted) -> CheckRecord:
     return _record(
-        "A5-positive-homogeneity",
-        violation,
-        1e-9 * max(1.0, abs(lam * base)),
-        f"lam={lam!r} n={cc.n} atoms={d.atom_count}",
+        "translation",
+        abs(shifted - base - c),
+        1e-9,
+        f"c={c!r} n={cc.n} atoms={d.atom_count}",
     )
 
 
@@ -175,18 +202,11 @@ def check_translation(d: EmpiricalDistribution, nc, c: float) -> CheckRecord:
     cc = _copy_count(nc)
     c = float(c)
     shifted = maxvar_choquet(affine(d, 1.0, c), cc)
-    violation = abs(shifted - maxvar_choquet(d, cc) - c)
-    return _record("translation", violation, 1e-9, f"c={c!r} n={cc.n} atoms={d.atom_count}")
+    return _translation_record(d, cc, c, maxvar_choquet(d, cc), shifted)
 
 
-def check_averseness(d: EmpiricalDistribution, nc) -> CheckRecord:
-    """Strict averseness: maxvar_n(X) > E(X) for non-constant X, n >= 2."""
-    cc = _copy_count(nc)
-    if cc.n < 2:
-        raise PreconditionViolated("averseness needs n >= 2")
-    if d.is_constant():
-        raise PreconditionViolated("averseness needs a non-constant distribution")
-    margin = maxvar_choquet(d, cc) - expectation(d)
+def _averseness_record(d: EmpiricalDistribution, cc, value, mean) -> CheckRecord:
+    margin = value - mean
     # violation <= tolerance means margin >= 1e-12, i.e. strictly positive
     return _record(
         "A6-averseness",
@@ -196,59 +216,84 @@ def check_averseness(d: EmpiricalDistribution, nc) -> CheckRecord:
     )
 
 
-def check_l2_continuity(t: ScenarioTable, nc) -> CheckRecord:
-    """Surrogate for closedness: |maxvar_n(X) - maxvar_n(Y)| <= n E|X - Y|."""
+def check_averseness(d: EmpiricalDistribution, nc) -> CheckRecord:
+    """Strict averseness: maxvar_n(X) > E(X) for non-constant X, n >= 2."""
     cc = _copy_count(nc)
-    diff = abs(
-        maxvar_choquet(portfolio_law(t, X), cc) - maxvar_choquet(portfolio_law(t, Y), cc)
-    )
+    if cc.n < 2:
+        raise PreconditionViolated("averseness needs n >= 2")
+    if d.is_constant():
+        raise PreconditionViolated("averseness needs a non-constant distribution")
+    return _averseness_record(d, cc, maxvar_choquet(d, cc), expectation(d))
+
+
+def _l2_continuity_record(t: ScenarioTable, cc, rx, ry) -> CheckRecord:
     mean_abs_diff = _sum(np.abs(t.column("x") - t.column("y")) * t.scenario_probs)
     return _record(
         "A4-surrogate",
-        diff - cc.n * mean_abs_diff,
+        abs(rx - ry) - cc.n * mean_abs_diff,
         1e-9,
         f"scenarios={len(t.rows)} n={cc.n}",
     )
 
 
-def _check_convexity(t: ScenarioTable, nc) -> CheckRecord:
-    # implied by subadditivity + positive homogeneity; checked directly anyway
+def check_l2_continuity(t: ScenarioTable, nc) -> CheckRecord:
+    """Surrogate for closedness: |maxvar_n(X) - maxvar_n(Y)| <= n E|X - Y|."""
     cc = _copy_count(nc)
-    worst = -math.inf
-    witness = ""
     rx = maxvar_choquet(portfolio_law(t, X), cc)
     ry = maxvar_choquet(portfolio_law(t, Y), cc)
-    for lam, mix in MIXES:
-        mixed = maxvar_choquet(portfolio_law(t, mix), cc)
-        violation = mixed - (lam * rx + (1.0 - lam) * ry)
+    return _l2_continuity_record(t, cc, rx, ry)
+
+
+def _convexity_record(t: ScenarioTable, cc, rx, ry, mixed) -> CheckRecord:
+    # mixed holds maxvar_n of each portfolio of MIXES, in that order
+    worst = -math.inf
+    witness = ""
+    for (lam, _), value in zip(MIXES, mixed):
+        violation = value - (lam * rx + (1.0 - lam) * ry)
         if violation > worst:
             worst = violation
             witness = f"lam={lam} scenarios={len(t.rows)} n={cc.n}"
     return _record("A2-convexity", worst, 1e-9, witness)
 
 
-def _check_abs_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
+def _mixed_values(t: ScenarioTable, cc) -> list[float]:
+    return [maxvar_choquet(portfolio_law(t, mix), cc) for _, mix in MIXES]
+
+
+def _check_convexity(t: ScenarioTable, nc) -> CheckRecord:
+    # implied by subadditivity + positive homogeneity; checked directly anyway
     cc = _copy_count(nc)
+    rx = maxvar_choquet(portfolio_law(t, X), cc)
+    ry = maxvar_choquet(portfolio_law(t, Y), cc)
+    return _convexity_record(t, cc, rx, ry, _mixed_values(t, cc))
+
+
+def _abs_bound_record(d: EmpiricalDistribution, cc, value) -> CheckRecord:
     return _record(
         "abs-bound",
-        abs(maxvar_choquet(d, cc)) - cc.n * abs_expectation(d),
+        abs(value) - cc.n * abs_expectation(d),
         1e-9,
         f"n={cc.n} atoms={d.atom_count}",
     )
 
 
-def _check_n_monotone(d: EmpiricalDistribution, nc) -> CheckRecord:
+def _check_abs_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
     cc = _copy_count(nc)
-    gap = maxvar_choquet(d, cc) - maxvar_choquet(d, cc.n + 1)
+    return _abs_bound_record(d, cc, maxvar_choquet(d, cc))
+
+
+def _n_monotone_record(d: EmpiricalDistribution, cc, value, next_value) -> CheckRecord:
     return _record(
-        "maxvar-n-monotone", gap, 1e-12, f"n={cc.n} atoms={d.atom_count}"
+        "maxvar-n-monotone", value - next_value, 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
-def _check_route_mixture(d: EmpiricalDistribution, nc) -> CheckRecord:
+def _check_n_monotone(d: EmpiricalDistribution, nc) -> CheckRecord:
     cc = _copy_count(nc)
-    a = maxvar_choquet(d, cc)
-    b = maxvar_mixture_exact(d, cc)
+    return _n_monotone_record(d, cc, maxvar_choquet(d, cc), maxvar_choquet(d, cc.n + 1))
+
+
+def _route_mixture_record(d: EmpiricalDistribution, cc, a, b) -> CheckRecord:
     return _record(
         "route-mixture-exact",
         abs(a - b) / max(1.0, abs(a)),
@@ -257,57 +302,73 @@ def _check_route_mixture(d: EmpiricalDistribution, nc) -> CheckRecord:
     )
 
 
-def _check_route_spectral(d: EmpiricalDistribution, nc) -> CheckRecord:
+def _check_route_mixture(d: EmpiricalDistribution, nc) -> CheckRecord:
     cc = _copy_count(nc)
-    a = maxvar_choquet(d, cc)
-    b = maxvar_spectral(d, cc)
+    return _route_mixture_record(d, cc, maxvar_choquet(d, cc), maxvar_mixture_exact(d, cc))
+
+
+def _route_spectral_record(d: EmpiricalDistribution, cc, a, b) -> CheckRecord:
     return _record(
         "route-spectral", abs(a - b), 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
-def _check_cvar_routes(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
-    a = cvar_min(d, alpha).value
-    b = cvar_choquet(d, alpha)
+def _check_route_spectral(d: EmpiricalDistribution, nc) -> CheckRecord:
+    cc = _copy_count(nc)
+    return _route_spectral_record(d, cc, maxvar_choquet(d, cc), maxvar_spectral(d, cc))
+
+
+def _cvar_routes_record(d: EmpiricalDistribution, alpha, a, b) -> CheckRecord:
     return _record(
         "cvar-two-routes", abs(a - b), 1e-10, f"alpha={alpha!r} atoms={d.atom_count}"
     )
 
 
-def _check_cvar_dominance(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
-    gap = expectation(d) - cvar_min(d, alpha).value
+def _check_cvar_routes(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
+    return _cvar_routes_record(d, alpha, cvar_min(d, alpha).value, cvar_choquet(d, alpha))
+
+
+def _cvar_dominance_record(d: EmpiricalDistribution, alpha, mean, cvar) -> CheckRecord:
     return _record(
-        "cvar-dominance", gap, 1e-12, f"alpha={alpha!r} atoms={d.atom_count}"
+        "cvar-dominance", mean - cvar, 1e-12, f"alpha={alpha!r} atoms={d.atom_count}"
     )
 
 
-def _check_beta_star(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
+def _check_cvar_dominance(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
+    return _cvar_dominance_record(d, alpha, expectation(d), cvar_min(d, alpha).value)
+
+
+def _beta_star_record(d: EmpiricalDistribution, alpha, beta_star) -> CheckRecord:
     # VaR by a linear scan of its definition: the first atom whose survival
     # is below 1 - alpha, or the top atom if there is none
     below = np.flatnonzero(d.survival < 1.0 - alpha)
     var_atom = float(d.values[below[0] if below.size else -1])
     return _record(
         "cvar-beta-star-is-var",
-        abs(cvar_min(d, alpha).beta_star - var_atom),
+        abs(beta_star - var_atom),
         0.0,
         f"alpha={alpha!r} atoms={d.atom_count}",
     )
 
 
-def _check_duality_strong(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    q = extremal_density(d, cc)
-    gap = dual_gap(d, cc, q)
+def _check_beta_star(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
+    return _beta_star_record(d, alpha, cvar_min(d, alpha).beta_star)
+
+
+def _duality_strong_record(d: EmpiricalDistribution, cc, gap) -> CheckRecord:
     return _record(
         "duality-strong-extremal", abs(gap), 1e-10, f"n={cc.n} atoms={d.atom_count}"
     )
 
 
-def _check_core_tightness(d: EmpiricalDistribution, nc) -> CheckRecord:
+def _check_duality_strong(d: EmpiricalDistribution, nc) -> CheckRecord:
+    cc = _copy_count(nc)
+    return _duality_strong_record(d, cc, dual_gap(d, cc, extremal_density(d, cc)))
+
+
+def _core_tightness_record(d: EmpiricalDistribution, cc, report) -> CheckRecord:
     # the extremal density is tight on every upper-level set, so the largest
     # equality gap doubles as the membership violation here
-    cc = _copy_count(nc)
-    report = core_check(d, cc, extremal_density(d, cc), collect_sets=False)
     return _record(
         "core-check-extremal",
         max(report.max_equality_gap, abs(report.mean_gap)),
@@ -316,13 +377,22 @@ def _check_core_tightness(d: EmpiricalDistribution, nc) -> CheckRecord:
     )
 
 
-def _check_envelope_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
+def _check_core_tightness(d: EmpiricalDistribution, nc) -> CheckRecord:
     cc = _copy_count(nc)
-    q = extremal_density(d, cc).q
+    report = core_check(d, cc, extremal_density(d, cc), collect_sets=False)
+    return _core_tightness_record(d, cc, report)
+
+
+def _envelope_bound_record(d: EmpiricalDistribution, cc, q) -> CheckRecord:
     worst = max(float(np.max(q)) - cc.n, float(-np.min(q)))
     return _record(
         "envelope-bound", worst, 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
+
+
+def _check_envelope_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
+    cc = _copy_count(nc)
+    return _envelope_bound_record(d, cc, extremal_density(d, cc).q)
 
 
 _FAMILY_SEGMENTS = 4  # level segments of a random feasible family
@@ -350,16 +420,18 @@ def _random_feasible_family(
     return CvarFeasibleFamily.from_constant_densities(bounds, densities)
 
 
+def _duality_weak_record(d: EmpiricalDistribution, cc, gap) -> CheckRecord:
+    return _record(
+        "duality-weak-random-family", -gap, 1e-9, f"n={cc.n} atoms={d.atom_count}"
+    )
+
+
 def _check_duality_weak(
     d: EmpiricalDistribution, nc, gen: np.random.Generator
 ) -> CheckRecord:
     cc = _copy_count(nc)
-    fam = _random_feasible_family(d, gen)
-    q = mixture_density(d, cc, fam)
-    gap = dual_gap(d, cc, q)
-    return _record(
-        "duality-weak-random-family", -gap, 1e-9, f"n={cc.n} atoms={d.atom_count}"
-    )
+    q = mixture_density(d, cc, _random_feasible_family(d, gen))
+    return _duality_weak_record(d, cc, dual_gap(d, cc, q))
 
 
 def random_distribution(
@@ -398,6 +470,15 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
     Deterministic per seed: trial t draws all of its data from stream t+1 of
     the seed, and records aggregate the worst signed violation per check
     name. Byte-identical reports for identical (seed, trials).
+
+    Each trial builds each distinct law once and evaluates each (law, n)
+    route value once, and every check that reads a number is handed it:
+    maxvar_n(X) of the pair, which the monotone and near tables share
+    through their column x and probabilities, maxvar_n(d), E(d), CVaR_alpha
+    of d, and the extremal density with its one membership report. The
+    generator is drawn in the order of the checks, as when each check
+    evaluated its own numbers: the one-atom averseness fallback before the
+    near table's perturbation, and the random family last.
     """
     trials = _suite_trials(trials)
     worst: dict[str, CheckRecord] = {}
@@ -415,29 +496,48 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
         c = float(gen.uniform(-50.0, 50.0))
         lam = float(gen.uniform(0.01, 4.0))
         alpha = float(gen.uniform(0.0, 0.999))
+        cc = _copy_count(n)
 
-        consider(check_constant(n, c))
-        consider(check_subadditivity(pair, n))
+        consider(check_constant(cc, c))
+        # the monotone and near tables keep the pair's column x and
+        # probabilities, so the pair's law of X is theirs too
         x, y = pair.column("x"), pair.column("y")
-        consider(check_monotonicity(_xy_table(x, x + np.abs(y) * 0.1, pair.probs), n))
-        consider(check_positive_homogeneity(d, n, lam))
-        consider(check_translation(d, n, c))
-        averse_d = d if d.atom_count >= 2 else random_distribution(gen, 50, min_atoms=2)
-        consider(check_averseness(averse_d, n))
+        rx = maxvar_choquet(portfolio_law(pair, X), cc)
+        ry = maxvar_choquet(portfolio_law(pair, Y), cc)
+        rd = maxvar_choquet(d, cc)
+        mean = expectation(d)
+        joint = maxvar_choquet(portfolio_law(pair, X_PLUS_Y), cc)
+        consider(_subadditivity_record(pair, cc, joint, rx + ry))
+        mono = _xy_table(x, x + np.abs(y) * 0.1, pair.probs)
+        mono_high = maxvar_choquet(portfolio_law(mono, Y), cc)
+        consider(_monotonicity_record(mono, cc, rx, mono_high))
+        scaled = maxvar_choquet(affine(d, lam, 0.0), cc)
+        consider(_homogeneity_record(d, cc, lam, rd, scaled))
+        shifted = maxvar_choquet(affine(d, 1.0, c), cc)
+        consider(_translation_record(d, cc, c, rd, shifted))
+        if d.atom_count >= 2:
+            consider(_averseness_record(d, cc, rd, mean))
+        else:  # draws a law of two or more atoms before the near table's draws
+            consider(check_averseness(random_distribution(gen, 50, min_atoms=2), cc))
         near = _xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
-        consider(check_l2_continuity(near, n))
-        consider(_check_convexity(pair, n))
-        consider(_check_abs_bound(d, n))
-        consider(_check_n_monotone(d, n))
-        consider(_check_route_mixture(d, n))
-        consider(_check_route_spectral(d, n))
-        consider(_check_cvar_routes(d, alpha))
-        consider(_check_cvar_dominance(d, alpha))
-        consider(_check_beta_star(d, alpha))
-        consider(_check_duality_strong(d, n))
-        consider(_check_core_tightness(d, n))
-        consider(_check_envelope_bound(d, n))
-        consider(_check_duality_weak(d, n, gen))
+        near_y = maxvar_choquet(portfolio_law(near, Y), cc)
+        consider(_l2_continuity_record(near, cc, rx, near_y))
+        consider(_convexity_record(pair, cc, rx, ry, _mixed_values(pair, cc)))
+        consider(_abs_bound_record(d, cc, rd))
+        consider(_n_monotone_record(d, cc, rd, maxvar_choquet(d, cc.n + 1)))
+        consider(_route_mixture_record(d, cc, rd, maxvar_mixture_exact(d, cc)))
+        consider(_route_spectral_record(d, cc, rd, maxvar_spectral(d, cc)))
+        cvar = cvar_min(d, alpha)
+        consider(_cvar_routes_record(d, alpha, cvar.value, cvar_choquet(d, alpha)))
+        consider(_cvar_dominance_record(d, alpha, mean, cvar.value))
+        consider(_beta_star_record(d, alpha, cvar.beta_star))
+        extremal = extremal_density(d, cc)
+        report, gap = _member_gap(d, cc, extremal, rd)
+        consider(_duality_strong_record(d, cc, gap))
+        consider(_core_tightness_record(d, cc, report))
+        consider(_envelope_bound_record(d, cc, extremal.q))
+        family = mixture_density(d, cc, _random_feasible_family(d, gen))
+        consider(_duality_weak_record(d, cc, _member_gap(d, cc, family, rd)[1]))
 
     checks = tuple(worst[name] for name in sorted(worst))
     return VerificationReport(seed=int(seed), trials=trials, checks=checks)

@@ -38,7 +38,7 @@ from .dist import (
     from_samples,  # unused here; perfbench's tracer test reads maxvar.cli.from_samples
     portfolio_law,
 )
-from .envelope import _attained, extremal_density
+from .envelope import _attained, _member_gap, extremal_density
 from .errors import EmptyInput, MissingHeader, OutOfRange, ParseError, RiskError
 from .measures import (
     CopyCount,
@@ -322,18 +322,23 @@ def emit_envelope(t: ScenarioTable, p: PortfolioSpec, nc) -> str:
 
 
 def _column_checks(table: ScenarioTable, n: int) -> list[CheckRecord]:
-    """The suite's route-mixture and strong-duality checks on each column."""
+    """The suite's route-mixture and strong-duality checks on each column,
+    from one law, one maxvar_choquet value and one extremal density each."""
+    cc = _copy_count(n)
     records = []
     for name in table.columns:
         law = portfolio_law(table, PortfolioSpec({name: 1.0}))
+        value = maxvar_choquet(law, cc)
+        mixture = axioms._route_mixture_record(law, cc, value, maxvar_mixture_exact(law, cc))
+        _, gap = _member_gap(law, cc, extremal_density(law, cc), value)
         records += [
             replace(
-                axioms._check_route_mixture(law, n),
+                mixture,
                 name=f"column-{name}-route-mixture",
                 witness=f"column={name} n={n} atoms={law.atom_count}",
             ),
             replace(
-                axioms._check_duality_strong(law, n),
+                axioms._duality_strong_record(law, cc, gap),
                 name=f"column-{name}-duality",
                 witness=f"column={name} n={n}",
             ),

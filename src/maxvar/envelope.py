@@ -405,15 +405,26 @@ def _attained(d: EmpiricalDistribution, q: np.ndarray) -> float:
     return _sum(terms * d.probs if np.isfinite(terms).all() else d.values * (q * d.probs))
 
 
-def dual_gap(d: EmpiricalDistribution, nc, e: EnvelopeDensity) -> float:
-    """maxvar_n(X) - E(XQ) for an envelope member; >= 0 up to rounding and
-    zero for the extremal density. Raises NotInEnvelope when the membership
-    check fails."""
-    cc = _copy_count(nc)
+def _member_gap(
+    d: EmpiricalDistribution, cc: CopyCount, e: EnvelopeDensity, value=None
+) -> tuple[CoreCheckReport, float]:
+    """:func:`dual_gap` with its membership report: core_check first, then
+    NotInEnvelope on a failure, then maxvar_n(X) - E(XQ), where maxvar_n(X)
+    is ``value`` when the caller has it and is computed only past the check
+    otherwise."""
     report = core_check(d, cc, e, collect_sets=False)
     if not report.passed:
         raise NotInEnvelope(
             f"density fails membership: max violation {report.max_violation!r}, "
             f"mean gap {report.mean_gap!r}"
         )
-    return maxvar_choquet(d, cc) - _attained(d, e.q)
+    if value is None:
+        value = maxvar_choquet(d, cc)
+    return report, value - _attained(d, e.q)
+
+
+def dual_gap(d: EmpiricalDistribution, nc, e: EnvelopeDensity) -> float:
+    """maxvar_n(X) - E(XQ) for an envelope member; >= 0 up to rounding and
+    zero for the extremal density. Raises NotInEnvelope when the membership
+    check fails."""
+    return _member_gap(d, _copy_count(nc), e)[1]

@@ -2,13 +2,15 @@
 
 Tier-1 runs under Hypothesis's default profile. ``--hypothesis-profile=fuzz``
 runs the error-contract properties of ``test_fuzz.py``, ``load_csv``'s
-differential against the per-cell parser (``test_cli.py``), ``_sum``'s
-against ``math.fsum`` and the inverse-CDF guide table's against
-``np.searchsorted`` (``test_dist.py``), ``maxvar_mc``'s against drawing
-every value and ``minvar``'s against maxvar on the mirrored law
-(``test_measures.py``), and ``core_check``'s chunked sweep against its
-full-length form (``test_envelope.py``) with many more examples and no
-deadline; CI runs those eight that way in a step of their own. Each takes
+differential against the per-cell parser (``test_cli.py``), ``_sum``'s and
+``_row_sums``' against ``math.fsum`` and the inverse-CDF guide table's
+against ``np.searchsorted`` (``test_dist.py``), mixture-quad's against its
+per-panel form, ``maxvar_mc``'s against drawing every value and
+``minvar``'s against maxvar on the mirrored law (``test_measures.py``),
+``core_check``'s chunked sweep against its full-length form
+(``test_envelope.py``) and ``run_suite``'s shared evaluation against the
+per-check loop (``test_axioms.py``) with many more examples and no
+deadline; CI runs those ten that way in a step of their own. Each takes
 its settings from :func:`tier1_budget`.
 """
 

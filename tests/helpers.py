@@ -32,7 +32,9 @@ from maxvar import (
     expectation,
     from_samples,
 )
+from maxvar import axioms
 from maxvar._serialize import format_rows
+from maxvar.axioms import CheckRecord, VerificationReport
 from maxvar.cli import PROB_COLUMN
 from maxvar.envelope import _CORE_TOL
 from maxvar.measures import _var_index
@@ -535,3 +537,55 @@ def tight_sets_in_entry_order(d: EmpiricalDistribution, n: int, e: EnvelopeDensi
     entered = [values[i] for i in sorted(range(len(q)), key=lambda i: -q[i])]
     tight = ends[np.abs(violations) <= _CORE_TOL].tolist()
     return tuple(tuple(entered[: j + 1]) for j in tight)
+
+
+def run_suite_per_check(seed: int, trials: int) -> VerificationReport:
+    """Frozen reference for ``maxvar.run_suite``: the same draws per trial,
+    each record from its public ``check_*`` or ``_check_*`` function in
+    turn, so every law and route value is evaluated afresh by each check
+    that reads it; the worst signed violation per check name is kept."""
+    worst = {}
+
+    def consider(rec: CheckRecord) -> None:
+        old = worst.get(rec.name)
+        if old is None or rec.violation > old.violation:
+            worst[rec.name] = rec
+
+    for trial in range(trials):
+        gen = SeededSampler(seed, stream_id=trial + 1).generator()
+        d = axioms.random_distribution(gen)
+        pair = axioms.random_paired(gen)
+        n = int(gen.integers(2, 11))
+        c = float(gen.uniform(-50.0, 50.0))
+        lam = float(gen.uniform(0.01, 4.0))
+        alpha = float(gen.uniform(0.0, 0.999))
+
+        consider(axioms.check_constant(n, c))
+        consider(axioms.check_subadditivity(pair, n))
+        x, y = pair.column("x"), pair.column("y")
+        mono = axioms._xy_table(x, x + np.abs(y) * 0.1, pair.probs)
+        consider(axioms.check_monotonicity(mono, n))
+        consider(axioms.check_positive_homogeneity(d, n, lam))
+        consider(axioms.check_translation(d, n, c))
+        if d.atom_count >= 2:
+            averse_d = d
+        else:
+            averse_d = axioms.random_distribution(gen, 50, min_atoms=2)
+        consider(axioms.check_averseness(averse_d, n))
+        near = axioms._xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
+        consider(axioms.check_l2_continuity(near, n))
+        consider(axioms._check_convexity(pair, n))
+        consider(axioms._check_abs_bound(d, n))
+        consider(axioms._check_n_monotone(d, n))
+        consider(axioms._check_route_mixture(d, n))
+        consider(axioms._check_route_spectral(d, n))
+        consider(axioms._check_cvar_routes(d, alpha))
+        consider(axioms._check_cvar_dominance(d, alpha))
+        consider(axioms._check_beta_star(d, alpha))
+        consider(axioms._check_duality_strong(d, n))
+        consider(axioms._check_core_tightness(d, n))
+        consider(axioms._check_envelope_bound(d, n))
+        consider(axioms._check_duality_weak(d, n, gen))
+
+    checks = tuple(worst[name] for name in sorted(worst))
+    return VerificationReport(seed=int(seed), trials=int(trials), checks=checks)

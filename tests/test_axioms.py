@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from maxvar import (
     BudgetTooSmall,
@@ -10,6 +12,7 @@ from maxvar import (
     OutOfRange,
     PreconditionViolated,
     ScenarioTable,
+    SeededSampler,
     UnknownColumn,
     check_averseness,
     check_constant,
@@ -22,10 +25,11 @@ from maxvar import (
     portfolio_law,
     run_suite,
 )
-from maxvar import axioms, measures
+from maxvar import axioms, dist, envelope, measures
 from maxvar.axioms import _check_beta_star
 
-from helpers import bernoulli_half, d4
+from conftest import tier1_budget
+from helpers import bernoulli_half, d4, run_suite_per_check
 
 D4_VALUES = [1.0, 2.0, 3.0, 4.0]
 
@@ -259,3 +263,66 @@ class TestBetaStarCheck:
         record = _check_beta_star(d4(), 0.5)
         assert not record.passed
         assert record.violation == 1.0
+
+
+# trial 0 of this seed draws a one-atom law, so averseness falls back to a
+# fresh law of two or more atoms, drawn before the near table's uniforms
+ONE_ATOM_SEED = 1217
+
+
+def first_trial_law(seed):
+    return axioms.random_distribution(SeededSampler(seed, stream_id=1).generator())
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls to each named function of maxvar.axioms, through
+    every maxvar module that binds it."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(axioms, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (axioms, dist, envelope, measures):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestSuiteSharing:
+    """run_suite evaluates each law and route value once per trial and hands
+    it to every check that reads it; its report is the per-check loop's,
+    which evaluates afresh in each public check, byte for byte."""
+
+    @tier1_budget(40)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 4))
+    @example(ONE_ATOM_SEED, 1)
+    def test_matches_per_check_loop(self, seed, trials):
+        assert run_suite(seed, trials).to_json() == run_suite_per_check(seed, trials).to_json()
+
+    @pytest.mark.parametrize("seed", [0, 42, ONE_ATOM_SEED])
+    def test_matches_per_check_loop_at_16_trials(self, seed):
+        assert run_suite(seed, 16).to_json() == run_suite_per_check(seed, 16).to_json()
+
+    def test_example_seed_takes_the_averseness_fallback(self):
+        assert first_trial_law(ONE_ATOM_SEED).atom_count == 1
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_one_evaluation_per_law_and_route_value(self, monkeypatch, seed):
+        # 13 distinct (law, n) values: the constant, X+Y, X, Y, the monotone
+        # and near tables' Y, the three mixes, d, lam d, d + c at n and d at
+        # n + 1; the 8 laws are the portfolios among them; one extremal
+        # density, and core_check on it and on the random family's density
+        assert first_trial_law(seed).atom_count >= 2
+        names = ("maxvar_choquet", "portfolio_law", "extremal_density", "core_check")
+        counts = count_calls(monkeypatch, names)
+        run_suite(seed, 1)
+        # equal, not just at most: a counter that never fires reads 0
+        assert counts == {
+            "maxvar_choquet": 13,
+            "portfolio_law": 8,
+            "extremal_density": 1,
+            "core_check": 2,
+        }
