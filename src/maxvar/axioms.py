@@ -118,10 +118,10 @@ def _record(name: str, violation: float, tolerance: float, witness: str) -> Chec
     )
 
 
-# Each check's record is built by one private function from the numbers it
-# reads; the public check evaluates those numbers and calls it, and
-# run_suite, which evaluates each law and route value of a trial once,
-# calls the same builders.
+# Each check but constancy, which shares no number, has its record built by
+# one private function from the numbers it reads; the public check evaluates
+# those numbers and calls it, and run_suite, which evaluates each law and
+# route value of a trial once, calls the same builders.
 
 
 def check_constant(nc, c: float) -> CheckRecord:

@@ -25,7 +25,7 @@ from maxvar import (
     portfolio_law,
     run_suite,
 )
-from maxvar import axioms, dist, envelope, measures
+from maxvar import axioms, cli, dist, envelope, measures
 from maxvar.axioms import _check_beta_star
 
 from conftest import tier1_budget
@@ -285,7 +285,7 @@ def count_calls(monkeypatch, names):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (axioms, dist, envelope, measures):
+        for module in (axioms, cli, dist, envelope, measures):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
