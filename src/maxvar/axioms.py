@@ -13,7 +13,7 @@ surrogate |maxvar_n(X) - maxvar_n(Y)| <= n E|X - Y| and labeled
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .dist import (
 from .envelope import (
     CvarFeasibleFamily,
     _member_gap,
-    core_check,
-    dual_gap,
     extremal_density,
     mixture_density,
 )
@@ -92,16 +90,7 @@ class VerificationReport:
             "seed": self.seed,
             "trials": self.trials,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "violation": c.violation,
-                    "tolerance": c.tolerance,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_json(self) -> str:
@@ -109,25 +98,29 @@ class VerificationReport:
 
 
 def _record(name: str, violation: float, tolerance: float, witness: str) -> CheckRecord:
+    # compared as floats, so passed is a bool even for numpy inputs
+    violation, tolerance = float(violation), float(tolerance)
     return CheckRecord(
         name=name,
         passed=violation <= tolerance,
-        violation=float(violation),
-        tolerance=float(tolerance),
+        violation=violation,
+        tolerance=tolerance,
         witness=witness,
     )
 
 
 # Each check but constancy, which shares no number, has its record built by
-# one private function from the numbers it reads; the public check evaluates
-# those numbers and calls it, and run_suite, which evaluates each law and
-# route value of a trial once, calls the same builders.
+# one private function from the numbers it reads. Its callers evaluate those
+# numbers: the public check_* function where the check has one, and
+# run_suite, which evaluates each law and route value of a trial once and
+# hands it to every builder that reads it.
 
 
 def check_constant(nc, c: float) -> CheckRecord:
     """Constancy: the measure of a constant is the constant."""
     cc = _copy_count(nc)
-    law = EmpiricalDistribution(np.array([float(c)]), np.array([1.0]))
+    c = float(c)
+    law = EmpiricalDistribution(np.array([c]), np.array([1.0]))
     violation = abs(maxvar_choquet(law, cc) - c)
     return _record(
         "A1-constancy", violation, 1e-12 * max(1.0, abs(c)), f"c={c!r} n={cc.n}"
@@ -245,6 +238,7 @@ def check_l2_continuity(t: ScenarioTable, nc) -> CheckRecord:
 
 
 def _convexity_record(t: ScenarioTable, cc, rx, ry, mixed) -> CheckRecord:
+    # implied by subadditivity + positive homogeneity; checked directly anyway.
     # mixed holds maxvar_n of each portfolio of MIXES, in that order
     worst = -math.inf
     witness = ""
@@ -256,18 +250,6 @@ def _convexity_record(t: ScenarioTable, cc, rx, ry, mixed) -> CheckRecord:
     return _record("A2-convexity", worst, 1e-9, witness)
 
 
-def _mixed_values(t: ScenarioTable, cc) -> list[float]:
-    return [maxvar_choquet(portfolio_law(t, mix), cc) for _, mix in MIXES]
-
-
-def _check_convexity(t: ScenarioTable, nc) -> CheckRecord:
-    # implied by subadditivity + positive homogeneity; checked directly anyway
-    cc = _copy_count(nc)
-    rx = maxvar_choquet(portfolio_law(t, X), cc)
-    ry = maxvar_choquet(portfolio_law(t, Y), cc)
-    return _convexity_record(t, cc, rx, ry, _mixed_values(t, cc))
-
-
 def _abs_bound_record(d: EmpiricalDistribution, cc, value) -> CheckRecord:
     return _record(
         "abs-bound",
@@ -277,20 +259,10 @@ def _abs_bound_record(d: EmpiricalDistribution, cc, value) -> CheckRecord:
     )
 
 
-def _check_abs_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    return _abs_bound_record(d, cc, maxvar_choquet(d, cc))
-
-
 def _n_monotone_record(d: EmpiricalDistribution, cc, value, next_value) -> CheckRecord:
     return _record(
         "maxvar-n-monotone", value - next_value, 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
-
-
-def _check_n_monotone(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    return _n_monotone_record(d, cc, maxvar_choquet(d, cc), maxvar_choquet(d, cc.n + 1))
 
 
 def _route_mixture_record(d: EmpiricalDistribution, cc, a, b) -> CheckRecord:
@@ -302,20 +274,10 @@ def _route_mixture_record(d: EmpiricalDistribution, cc, a, b) -> CheckRecord:
     )
 
 
-def _check_route_mixture(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    return _route_mixture_record(d, cc, maxvar_choquet(d, cc), maxvar_mixture_exact(d, cc))
-
-
 def _route_spectral_record(d: EmpiricalDistribution, cc, a, b) -> CheckRecord:
     return _record(
         "route-spectral", abs(a - b), 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
-
-
-def _check_route_spectral(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    return _route_spectral_record(d, cc, maxvar_choquet(d, cc), maxvar_spectral(d, cc))
 
 
 def _cvar_routes_record(d: EmpiricalDistribution, alpha, a, b) -> CheckRecord:
@@ -324,18 +286,10 @@ def _cvar_routes_record(d: EmpiricalDistribution, alpha, a, b) -> CheckRecord:
     )
 
 
-def _check_cvar_routes(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
-    return _cvar_routes_record(d, alpha, cvar_min(d, alpha).value, cvar_choquet(d, alpha))
-
-
 def _cvar_dominance_record(d: EmpiricalDistribution, alpha, mean, cvar) -> CheckRecord:
     return _record(
         "cvar-dominance", mean - cvar, 1e-12, f"alpha={alpha!r} atoms={d.atom_count}"
     )
-
-
-def _check_cvar_dominance(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
-    return _cvar_dominance_record(d, alpha, expectation(d), cvar_min(d, alpha).value)
 
 
 def _beta_star_record(d: EmpiricalDistribution, alpha, beta_star) -> CheckRecord:
@@ -351,19 +305,10 @@ def _beta_star_record(d: EmpiricalDistribution, alpha, beta_star) -> CheckRecord
     )
 
 
-def _check_beta_star(d: EmpiricalDistribution, alpha: float) -> CheckRecord:
-    return _beta_star_record(d, alpha, cvar_min(d, alpha).beta_star)
-
-
 def _duality_strong_record(d: EmpiricalDistribution, cc, gap) -> CheckRecord:
     return _record(
         "duality-strong-extremal", abs(gap), 1e-10, f"n={cc.n} atoms={d.atom_count}"
     )
-
-
-def _check_duality_strong(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    return _duality_strong_record(d, cc, dual_gap(d, cc, extremal_density(d, cc)))
 
 
 def _core_tightness_record(d: EmpiricalDistribution, cc, report) -> CheckRecord:
@@ -377,22 +322,11 @@ def _core_tightness_record(d: EmpiricalDistribution, cc, report) -> CheckRecord:
     )
 
 
-def _check_core_tightness(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    report = core_check(d, cc, extremal_density(d, cc), collect_sets=False)
-    return _core_tightness_record(d, cc, report)
-
-
 def _envelope_bound_record(d: EmpiricalDistribution, cc, q) -> CheckRecord:
     worst = max(float(np.max(q)) - cc.n, float(-np.min(q)))
     return _record(
         "envelope-bound", worst, 1e-12, f"n={cc.n} atoms={d.atom_count}"
     )
-
-
-def _check_envelope_bound(d: EmpiricalDistribution, nc) -> CheckRecord:
-    cc = _copy_count(nc)
-    return _envelope_bound_record(d, cc, extremal_density(d, cc).q)
 
 
 _FAMILY_SEGMENTS = 4  # level segments of a random feasible family
@@ -424,14 +358,6 @@ def _duality_weak_record(d: EmpiricalDistribution, cc, gap) -> CheckRecord:
     return _record(
         "duality-weak-random-family", -gap, 1e-9, f"n={cc.n} atoms={d.atom_count}"
     )
-
-
-def _check_duality_weak(
-    d: EmpiricalDistribution, nc, gen: np.random.Generator
-) -> CheckRecord:
-    cc = _copy_count(nc)
-    q = mixture_density(d, cc, _random_feasible_family(d, gen))
-    return _duality_weak_record(d, cc, dual_gap(d, cc, q))
 
 
 def random_distribution(
@@ -522,7 +448,8 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
         near = _xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
         near_y = maxvar_choquet(portfolio_law(near, Y), cc)
         consider(_l2_continuity_record(near, cc, rx, near_y))
-        consider(_convexity_record(pair, cc, rx, ry, _mixed_values(pair, cc)))
+        mixed = [maxvar_choquet(portfolio_law(pair, mix), cc) for _, mix in MIXES]
+        consider(_convexity_record(pair, cc, rx, ry, mixed))
         consider(_abs_bound_record(d, cc, rd))
         consider(_n_monotone_record(d, cc, rd, maxvar_choquet(d, cc.n + 1)))
         consider(_route_mixture_record(d, cc, rd, maxvar_mixture_exact(d, cc)))

@@ -29,15 +29,25 @@ from maxvar import (
     RiskError,
     ScenarioTable,
     SeededSampler,
+    core_check,
+    cvar_choquet,
+    cvar_min,
+    dual_gap,
     expectation,
+    extremal_density,
     from_samples,
+    maxvar_choquet,
+    maxvar_mixture_exact,
+    maxvar_spectral,
+    mixture_density,
+    portfolio_law,
 )
 from maxvar import axioms
 from maxvar._serialize import format_rows
 from maxvar.axioms import CheckRecord, VerificationReport
 from maxvar.cli import PROB_COLUMN
 from maxvar.envelope import _CORE_TOL
-from maxvar.measures import _var_index
+from maxvar.measures import _copy_count, _var_index
 
 
 def d4() -> EmpiricalDistribution:
@@ -541,9 +551,11 @@ def tight_sets_in_entry_order(d: EmpiricalDistribution, n: int, e: EnvelopeDensi
 
 def run_suite_per_check(seed: int, trials: int) -> VerificationReport:
     """Frozen reference for ``maxvar.run_suite``: the same draws per trial,
-    each record from its public ``check_*`` or ``_check_*`` function in
-    turn, so every law and route value is evaluated afresh by each check
-    that reads it; the worst signed violation per check name is kept."""
+    each record from its public ``check_*`` function or, for a check without
+    one, from its record builder in ``maxvar.axioms`` with every number it
+    reads evaluated afresh here, so every law and route value is evaluated
+    anew for each check that reads it; the worst signed violation per check
+    name is kept."""
     worst = {}
 
     def consider(rec: CheckRecord) -> None:
@@ -574,18 +586,36 @@ def run_suite_per_check(seed: int, trials: int) -> VerificationReport:
         consider(axioms.check_averseness(averse_d, n))
         near = axioms._xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
         consider(axioms.check_l2_continuity(near, n))
-        consider(axioms._check_convexity(pair, n))
-        consider(axioms._check_abs_bound(d, n))
-        consider(axioms._check_n_monotone(d, n))
-        consider(axioms._check_route_mixture(d, n))
-        consider(axioms._check_route_spectral(d, n))
-        consider(axioms._check_cvar_routes(d, alpha))
-        consider(axioms._check_cvar_dominance(d, alpha))
-        consider(axioms._check_beta_star(d, alpha))
-        consider(axioms._check_duality_strong(d, n))
-        consider(axioms._check_core_tightness(d, n))
-        consider(axioms._check_envelope_bound(d, n))
-        consider(axioms._check_duality_weak(d, n, gen))
+        cc = _copy_count(n)
+        rx = maxvar_choquet(portfolio_law(pair, axioms.X), cc)
+        ry = maxvar_choquet(portfolio_law(pair, axioms.Y), cc)
+        mixed = [maxvar_choquet(portfolio_law(pair, mix), cc) for _, mix in axioms.MIXES]
+        consider(axioms._convexity_record(pair, cc, rx, ry, mixed))
+        consider(axioms._abs_bound_record(d, cc, maxvar_choquet(d, cc)))
+        consider(
+            axioms._n_monotone_record(d, cc, maxvar_choquet(d, cc), maxvar_choquet(d, n + 1))
+        )
+        consider(
+            axioms._route_mixture_record(d, cc, maxvar_choquet(d, cc), maxvar_mixture_exact(d, cc))
+        )
+        consider(
+            axioms._route_spectral_record(d, cc, maxvar_choquet(d, cc), maxvar_spectral(d, cc))
+        )
+        consider(
+            axioms._cvar_routes_record(d, alpha, cvar_min(d, alpha).value, cvar_choquet(d, alpha))
+        )
+        consider(
+            axioms._cvar_dominance_record(d, alpha, expectation(d), cvar_min(d, alpha).value)
+        )
+        consider(axioms._beta_star_record(d, alpha, cvar_min(d, alpha).beta_star))
+        gap = dual_gap(d, cc, extremal_density(d, cc))
+        consider(axioms._duality_strong_record(d, cc, gap))
+        report = core_check(d, cc, extremal_density(d, cc), collect_sets=False)
+        consider(axioms._core_tightness_record(d, cc, report))
+        consider(axioms._envelope_bound_record(d, cc, extremal_density(d, cc).q))
+        # the random family is drawn last, after every other draw of the trial
+        q = mixture_density(d, cc, axioms._random_feasible_family(d, gen))
+        consider(axioms._duality_weak_record(d, cc, dual_gap(d, cc, q)))
 
     checks = tuple(worst[name] for name in sorted(worst))
     return VerificationReport(seed=int(seed), trials=int(trials), checks=checks)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import maxvar
 from maxvar import (
     BudgetTooSmall,
     DimensionMismatch,
@@ -14,6 +16,7 @@ from maxvar import (
     ScenarioTable,
     SeededSampler,
     UnknownColumn,
+    VerificationReport,
     check_averseness,
     check_constant,
     check_l2_continuity,
@@ -26,7 +29,7 @@ from maxvar import (
     run_suite,
 )
 from maxvar import axioms, cli, dist, envelope, measures
-from maxvar.axioms import _check_beta_star
+from maxvar.axioms import _beta_star_record
 
 from conftest import tier1_budget
 from helpers import bernoulli_half, d4, run_suite_per_check
@@ -81,6 +84,14 @@ class TestConstancy:
         assert rec.passed
         assert rec.tolerance == pytest.approx(1e-6)
         assert rec.violation <= 1e-6
+
+    def test_numpy_scalar_gives_a_renderable_record(self):
+        # compared as numpy floats, passed was a numpy bool that to_json refused
+        rec = check_constant(2, np.float64(3.0))
+        assert type(rec.passed) is bool
+        assert rec.witness == "c=3.0 n=2"
+        doc = json.loads(VerificationReport(0, 1, (rec,)).to_json())
+        assert doc["checks"][0]["passed"] is True
 
 
 class TestSubadditivity:
@@ -260,7 +271,7 @@ class TestBetaStarCheck:
             "_var_index",
             lambda d, alpha: np.minimum(search(d, alpha) + 1, d.atom_count - 1),
         )
-        record = _check_beta_star(d4(), 0.5)
+        record = _beta_star_record(d4(), 0.5, measures.cvar_min(d4(), 0.5).beta_star)
         assert not record.passed
         assert record.violation == 1.0
 
@@ -275,11 +286,11 @@ def first_trial_law(seed):
 
 
 def count_calls(monkeypatch, names):
-    """Count the calls to each named function of maxvar.axioms, through
+    """Count the calls to each named public function of maxvar, through
     every maxvar module that binds it."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(axioms, name)
+        original = getattr(maxvar, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
