@@ -24,6 +24,7 @@ from .dist import (
     ScenarioTable,
     SeededSampler,
     _integer,
+    _row_sums,
     _sum,
     abs_expectation,
     affine,
@@ -338,20 +339,23 @@ def _random_feasible_family(
 ) -> CvarFeasibleFamily:
     """A random piecewise-constant feasible family: each segment density is a
     raw positive draw normalized to unit mean, then shrunk toward the
-    always-feasible constant 1 until its segment-wide CVaR bound holds."""
+    always-feasible constant 1 until its segment-wide CVaR bound holds.
+
+    All segments at once, one row each: the raw draws come in one call, the
+    same stream as one call per segment, each row's mean is its correctly
+    rounded sum through :func:`_row_sums`, and each row's shrink factor is
+    the least ratio over its entries above the bound, or 1 when none is (no
+    such ratio exceeds 1)."""
     cuts = np.sort(gen.uniform(0.05, 0.95, size=_FAMILY_SEGMENTS - 1))
     bounds = np.concatenate(([0.0], cuts, [1.0]))
-    densities = []
-    for lo in bounds[:-1]:
-        raw = gen.uniform(0.0, 2.0, size=d.atom_count) + 1e-3
-        q = raw / _sum(raw * d.probs)
-        cap = 1.0 / (1.0 - lo)  # pointwise bound over the whole segment
-        over = q > cap
-        gamma = 1.0
-        if over.any():
-            gamma = float(np.min((cap - 1.0) / (q[over] - 1.0)))
-        densities.append(1.0 + 0.999 * gamma * (q - 1.0))
-    return CvarFeasibleFamily.from_constant_densities(bounds, densities)
+    raw = gen.uniform(0.0, 2.0, size=(_FAMILY_SEGMENTS, d.atom_count)) + 1e-3
+    q = raw / _row_sums(raw * d.probs)[:, None]
+    cap = (1.0 / (1.0 - bounds[:-1]))[:, None]  # pointwise bound over each segment
+    shrink = q - 1.0
+    ratio = np.divide(cap - 1.0, shrink, out=np.ones_like(q), where=q > cap)
+    gamma = ratio.min(axis=1)
+    flat = 1.0 + 0.999 * gamma[:, None] * shrink
+    return CvarFeasibleFamily(bounds, flat, np.zeros_like(flat))
 
 
 def _duality_weak_record(d: EmpiricalDistribution, cc, gap) -> CheckRecord:

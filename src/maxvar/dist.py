@@ -373,16 +373,33 @@ def _merge(values: np.ndarray, weights: np.ndarray) -> EmpiricalDistribution:
     merged by summing their weights, zero-weight atoms dropped, and the
     weights divided by their correctly rounded sum.
 
-    ``np.unique`` returns fresh, finite, strictly increasing values, so only
-    the probabilities are checked (once, by :func:`_check_probs`) and both
-    arrays are kept without the constructor's checks and copies.
+    One sort does it: the steps ``np.unique(values, return_inverse=True)``
+    runs, an argsort of kind ``"quicksort"``, the gather and a first-of-run
+    mask, so a run of 0.0 and -0.0 keeps the zero that ``np.unique`` keeps.
+    When no values tie, each weight is its atom's, in sorted order. When some
+    do, the inverse is built as ``np.unique`` builds it and ``np.bincount``
+    adds each run's weights in input order. The values come out fresh,
+    finite and strictly increasing, so only the probabilities are checked
+    (once, by :func:`_check_probs`) and both arrays are kept without the
+    constructor's checks and copies.
     """
-    uniq, inverse = np.unique(values, return_inverse=True)
-    merged = np.bincount(inverse, weights=weights, minlength=len(uniq))
+    perm = values.argsort(kind="quicksort")
+    uniq = values[perm]
+    first = np.empty(len(uniq), dtype=bool)
+    first[:1] = True
+    np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
+    if first.all():
+        merged = weights[perm]
+    else:
+        inverse = np.empty(len(perm), dtype=np.intp)
+        inverse[perm] = np.cumsum(first) - 1
+        uniq = uniq[first]
+        merged = np.bincount(inverse, weights=weights, minlength=len(uniq))
     keep = merged > 0.0
-    if not keep.any():
-        raise AllZeroWeights("total weight is zero")
-    uniq, merged = uniq[keep], merged[keep]
+    if not keep.all():
+        if not keep.any():
+            raise AllZeroWeights("total weight is zero")
+        uniq, merged = uniq[keep], merged[keep]
     try:
         total = _sum(merged)  # inf when a merged weight overflowed
     except OverflowError:  # finite merged weights whose sum overflows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import EmpiricalDistribution, _check_probs, _sum
+from .dist import EmpiricalDistribution, _check_probs, _row_sums, _sum
 from .errors import (
     DimensionMismatch,
     InfeasibleFamily,
@@ -135,6 +135,17 @@ class CvarFeasibleFamily:
 
 
 def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
+    """Raise the first way ``fam`` fails to be a feasible family on ``d``:
+    its shape, its first bound, then each segment in order, with the checks
+    of :func:`_raise_first_failure` in their order, then its last bound.
+
+    The segments are checked in blocks of ``max(1, _SWEEP_CHUNK // m)``
+    rows for m atoms, so the dense O(m^2) ``cvar_extremal`` family takes
+    temporaries of one block, never of the whole family. Should an exact
+    sum raise, as ``math.fsum`` does on a row holding both +inf and -inf,
+    the block is checked again one segment at a time, so that an earlier
+    segment's failure still comes first.
+    """
     shape = (len(fam.bounds) - 1, d.atom_count)
     if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
         raise DimensionMismatch(
@@ -145,27 +156,66 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
         raise InfeasibleFamily(
             f"segments must partition [0, 1); first starts at {float(fam.bounds[0])!r}"
         )
-    for i in range(shape[0]):
-        lo, hi = float(fam.bounds[i]), float(fam.bounds[i + 1])
-        flat, tail = fam.flat[i], fam.tail[i]
-        if not hi > lo:
-            raise InfeasibleFamily("segment bounds must be increasing")
-        # Q_a(1-a) = flat(1-a) + tail is linear in a, so the pointwise bounds
-        # 0 <= Q_a <= 1/(1-a) over the whole segment reduce to its endpoints.
-        for a in (lo, hi):
-            scaled = flat * (1.0 - a) + tail
-            if np.any(scaled < -_FEAS_TOL):
-                raise InfeasibleFamily(f"segment [{lo}, {hi}) density goes negative at level {a}")
-            if np.any(scaled > 1.0 + _FEAS_TOL):
-                raise InfeasibleFamily(f"segment [{lo}, {hi}) exceeds the CVaR bound at level {a}")
-        if abs(_sum(flat * d.probs) - 1.0) > _FEAS_TOL:
-            raise InfeasibleFamily(f"segment [{lo}, {hi}) mean is not 1")
-        # an all-zero tail has mean exactly 0: skip the sum, which the exact
-        # sum's certified path would refuse and hand to math.fsum
-        if tail.any() and abs(_sum(tail * d.probs)) > _FEAS_TOL:
-            raise InfeasibleFamily(f"segment [{lo}, {hi}) tail component has nonzero mean")
+    block = max(1, _SWEEP_CHUNK // shape[1])
+    for start in range(0, shape[0], block):
+        stop = min(start + block, shape[0])
+        try:
+            _raise_first_failure(d, fam, start, stop)
+            continue
+        except (OverflowError, ValueError):
+            pass
+        # outside the handler, so the error raised here carries no context
+        for row in range(start, stop):
+            _raise_first_failure(d, fam, row, row + 1)
     if fam.bounds[-1] != 1.0:
         raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")
+
+
+def _raise_first_failure(
+    d: EmpiricalDistribution, fam: CvarFeasibleFamily, start: int, stop: int
+) -> None:
+    """Raise ``InfeasibleFamily`` for the first of the segments ``start`` to
+    ``stop`` that is not feasible on ``d``, with the first check it fails, in
+    this order: bounds that do not increase; the density negative, then
+    above its CVaR bound, at the segment's lo, then the same at its hi; a
+    mean other than 1; a tail with a nonzero mean. The rows of a check are
+    computed for all these segments at once; a segment's means are summed
+    only when its bounds hold, and its tail's only when its mean is 1 and
+    the tail is not all zero."""
+    lo, hi = fam.bounds[start:stop], fam.bounds[start + 1 : stop + 1]
+    flat, tail = fam.flat[start:stop], fam.tail[start:stop]
+    failed = np.zeros((7, stop - start), dtype=bool)  # per check, per segment
+    failed[0] = ~(hi > lo)
+    # Q_a(1-a) = flat(1-a) + tail is linear in a, so the pointwise bounds
+    # 0 <= Q_a <= 1/(1-a) over the whole segment reduce to its endpoints.
+    for check, a in ((1, lo), (3, hi)):
+        scaled = flat * (1.0 - a)[:, None]
+        scaled += tail
+        np.any(scaled < -_FEAS_TOL, axis=1, out=failed[check])
+        np.any(scaled > 1.0 + _FEAS_TOL, axis=1, out=failed[check + 1])
+    bounded = failed[:5].any(axis=0)
+    summed = int(bounded.argmax()) if bounded.any() else stop - start
+    means = _row_sums(flat[:summed] * d.probs)
+    failed[5, :summed] = np.abs(means - 1.0) > _FEAS_TOL
+    # an all-zero tail has mean exactly 0: skip its sum, which the exact
+    # sum's certificate would refuse and hand to math.fsum
+    tails = np.flatnonzero(tail[:summed].any(axis=1) & ~failed[5, :summed])
+    if tails.size:
+        failed[6, tails] = np.abs(_row_sums(tail[tails] * d.probs)) > _FEAS_TOL
+    if not failed.any():
+        return
+    segment = int(failed.any(axis=0).argmax())
+    lo, hi = float(lo[segment]), float(hi[segment])
+    messages = (
+        "segment bounds must be increasing",
+        f"segment [{lo}, {hi}) density goes negative at level {lo}",
+        f"segment [{lo}, {hi}) exceeds the CVaR bound at level {lo}",
+        f"segment [{lo}, {hi}) density goes negative at level {hi}",
+        f"segment [{lo}, {hi}) exceeds the CVaR bound at level {hi}",
+        f"segment [{lo}, {hi}) mean is not 1",
+        f"segment [{lo}, {hi}) tail component has nonzero mean",
+    )
+    raise InfeasibleFamily(messages[int(failed[:, segment].argmax())])
 
 
 def extremal_density(d: EmpiricalDistribution, nc) -> EnvelopeDensity:

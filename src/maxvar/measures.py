@@ -211,6 +211,20 @@ def _var_index(d: EmpiricalDistribution, alpha):
     return np.minimum(k, m - 1)
 
 
+def _panel_var_index(d: EmpiricalDistribution, x: np.ndarray) -> np.ndarray:
+    # _var_index(d, x) for rows of ascending levels, as mixture-quad's panels
+    # hold: the index is nondecreasing in the level, so a row whose first and
+    # last nodes share an atom has it at every node. Only the other rows,
+    # those that straddle a breakpoint or have a node that rounds onto one,
+    # are searched in full.
+    ends = _var_index(d, x[:, [0, -1]])
+    k = np.repeat(ends[:, :1], x.shape[1], axis=1)
+    split = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    if split.size:
+        k[split] = _var_index(d, x[split])
+    return k
+
+
 def var(d: EmpiricalDistribution, a) -> float:
     """Value-at-Risk with the strict tail inequality (see module notes)."""
     return float(d.values[_var_index(d, _alpha_value(a))])
@@ -402,7 +416,7 @@ def maxvar_mixture_quad(d: EmpiricalDistribution, nc, q: QuadratureRule) -> floa
     lo, hi = bounds[:-1, None], bounds[1:, None]
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
-    k = _var_index(d, x)
+    k = _panel_var_index(d, x)
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = cc.tail_weight(x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
         # every panel's row in one certified pass; a refused row's fsum can

@@ -2,16 +2,19 @@
 
 Tier-1 runs under Hypothesis's default profile. ``--hypothesis-profile=fuzz``
 runs the error-contract properties of ``test_fuzz.py``, ``load_csv``'s
-differential against the per-cell parser (``test_cli.py``), ``_sum``'s and
+differential against the per-cell parser (``test_cli.py``), the merge's in
+``from_samples`` and ``portfolio_law`` against ``np.unique``, ``_sum``'s and
 ``_row_sums``' against ``math.fsum`` and the inverse-CDF guide table's
 against ``np.searchsorted`` (``test_dist.py``), mixture-quad's against its
-per-panel form, ``maxvar_mc``'s against drawing every value and
-``minvar``'s against maxvar on the mirrored law (``test_measures.py``),
-``core_check``'s chunked sweep against its full-length form
+per-panel form and its per-panel VaR atoms against the full search,
+``maxvar_mc``'s against drawing every value and ``minvar``'s against maxvar
+on the mirrored law (``test_measures.py``), ``core_check``'s chunked sweep
+against its full-length form and the random family's and the family
+validation's row passes against their per-segment forms
 (``test_envelope.py``) and ``run_suite``'s shared evaluation against the
 per-check loop (``test_axioms.py``) with many more examples and no
-deadline; CI runs those ten that way in a step of their own. Each takes
-its settings from :func:`tier1_budget`.
+deadline; CI runs those fifteen that way in a step of their own. Each
+takes its settings from :func:`tier1_budget`.
 """
 
 from hypothesis import settings

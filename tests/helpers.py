@@ -13,6 +13,7 @@ from maxvar import (
     AllZeroWeights,
     BudgetTooSmall,
     CoreCheckReport,
+    CvarFeasibleFamily,
     DimensionMismatch,
     EmptyInput,
     EmpiricalDistribution,
@@ -304,6 +305,15 @@ def random_small_dist(rng: np.random.Generator, max_atoms: int = 6) -> Empirical
     return from_samples(np.column_stack([values, weights]))
 
 
+def skewed_law() -> EmpiricalDistribution:
+    """200 atoms, one of which carries about 1 - 1e-9 of the mass; the rest
+    is dust."""
+    rng = np.random.default_rng(98)
+    values = rng.uniform(-10, 10, 200)
+    weights = np.concatenate([[1e6], rng.uniform(1e-4, 1e-2, 199)])
+    return from_samples(np.column_stack([values, weights]))
+
+
 def load_csv_per_cell(path) -> ScenarioTable:
     """Reference scenario-CSV parser that ``maxvar.cli.load_csv`` must match:
     the whole table is tokenized first, then every cell goes through
@@ -442,6 +452,65 @@ def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> E
     return EnvelopeDensity(q)
 
 
+def random_feasible_family_per_segment(
+    d: EmpiricalDistribution, gen: np.random.Generator
+) -> CvarFeasibleFamily:
+    """Frozen per-segment form of ``axioms._random_feasible_family``, which
+    must match it bit for bit and leave ``gen`` in the same state: one draw
+    per segment, normalized by its ``math.fsum`` mean, shrunk toward 1 by the
+    least ratio over the entries above the segment's bound."""
+    cuts = np.sort(gen.uniform(0.05, 0.95, size=axioms._FAMILY_SEGMENTS - 1))
+    bounds = np.concatenate(([0.0], cuts, [1.0]))
+    densities = []
+    for lo in bounds[:-1]:
+        raw = gen.uniform(0.0, 2.0, size=d.atom_count) + 1e-3
+        q = raw / math.fsum((raw * d.probs).tolist())
+        cap = 1.0 / (1.0 - lo)  # pointwise bound over the whole segment
+        over = q > cap
+        gamma = 1.0
+        if over.any():
+            gamma = float(np.min((cap - 1.0) / (q[over] - 1.0)))
+        densities.append(1.0 + 0.999 * gamma * (q - 1.0))
+    return CvarFeasibleFamily.from_constant_densities(bounds, densities)
+
+
+def validate_family_per_segment(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
+    """Frozen per-segment form of ``envelope._validate_family``, which must
+    raise the same type of error with the same message: each segment checked
+    in turn, its bounds, then the density at its lo and at its hi, then its
+    mean, then its tail's mean unless the tail is all zero. Sums use
+    ``math.fsum``, which the library's exact sums match bit for bit, errors
+    included."""
+    tol = 1e-12
+    shape = (len(fam.bounds) - 1, d.atom_count)
+    if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
+        raise DimensionMismatch(
+            f"flat and tail are {np.shape(fam.flat)} and {np.shape(fam.tail)}, "
+            f"need (segments, atoms) = {shape}"
+        )
+    if fam.bounds[0] != 0.0:
+        raise InfeasibleFamily(
+            f"segments must partition [0, 1); first starts at {float(fam.bounds[0])!r}"
+        )
+    for i in range(shape[0]):
+        lo, hi = float(fam.bounds[i]), float(fam.bounds[i + 1])
+        flat, tail = fam.flat[i], fam.tail[i]
+        if not hi > lo:
+            raise InfeasibleFamily("segment bounds must be increasing")
+        for a in (lo, hi):
+            scaled = flat * (1.0 - a) + tail
+            if np.any(scaled < -tol):
+                raise InfeasibleFamily(f"segment [{lo}, {hi}) density goes negative at level {a}")
+            if np.any(scaled > 1.0 + tol):
+                raise InfeasibleFamily(f"segment [{lo}, {hi}) exceeds the CVaR bound at level {a}")
+        if abs(math.fsum((flat * d.probs).tolist()) - 1.0) > tol:
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) mean is not 1")
+        if tail.any() and abs(math.fsum((tail * d.probs).tolist())) > tol:
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) tail component has nonzero mean")
+    if fam.bounds[-1] != 1.0:
+        raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")
+
+
 def quadrature_breakpoints_unique(d: EmpiricalDistribution) -> np.ndarray:
     """Reference that ``maxvar.quadrature_breakpoints`` must match bit for
     bit: the interior cumulative levels, sorted and deduplicated by
@@ -450,12 +519,11 @@ def quadrature_breakpoints_unique(d: EmpiricalDistribution) -> np.ndarray:
     return np.unique(interior[(interior > 0.0) & (interior < 1.0)])
 
 
-def quad_panels(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> tuple:
-    """The half-width of each panel of ``q`` on ``d``, and the matrix whose
-    row i holds panel i's Gauss-Legendre weights times the integrand at its
-    nodes, as ``maxvar.maxvar_mixture_quad`` forms them before any rescaling;
-    entries past the float range are inf. The nodes are solved afresh and the
-    breakpoints come from :func:`quadrature_breakpoints_unique`."""
+def quad_nodes(d: EmpiricalDistribution, q: QuadratureRule) -> tuple:
+    """The half-width of each panel of ``q`` on ``d``, the Gauss-Legendre
+    weights, and the matrix whose row i holds panel i's nodes, ascending, as
+    ``maxvar.maxvar_mixture_quad`` forms them. The nodes are solved afresh
+    and the breakpoints come from :func:`quadrature_breakpoints_unique`."""
     breaks = quadrature_breakpoints_unique(d)
     if q.panels < len(breaks) + 1:
         raise BudgetTooSmall(
@@ -469,11 +537,20 @@ def quad_panels(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> tuple:
     nodes, gl_weights = np.polynomial.legendre.leggauss(q.points_per_panel)
     lo, hi = bounds[:-1, None], bounds[1:, None]
     half = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi) + half * nodes  # one row of nodes per panel
+    return half[:, 0], gl_weights, 0.5 * (lo + hi) + half * nodes
+
+
+def quad_panels(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> tuple:
+    """The half-width of each panel of ``q`` on ``d``, and the matrix whose
+    row i holds panel i's Gauss-Legendre weights times the integrand at its
+    nodes from :func:`quad_nodes`, as ``maxvar.maxvar_mixture_quad`` forms
+    them before any rescaling, every node's VaR atom searched in full;
+    entries past the float range are inf."""
+    half, gl_weights, x = quad_nodes(d, q)
     k = _var_index(d, x)
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = tail_weight_frozen(n, x) * ((1.0 - x) * d.values[k] + d.upper_tails[k])
-        return half[:, 0], gl_weights * integrand
+        return half, gl_weights * integrand
 
 
 def mixture_quad_per_panel(d: EmpiricalDistribution, n: int, q: QuadratureRule) -> float:
@@ -554,8 +631,9 @@ def run_suite_per_check(seed: int, trials: int) -> VerificationReport:
     each record from its public ``check_*`` function or, for a check without
     one, from its record builder in ``maxvar.axioms`` with every number it
     reads evaluated afresh here, so every law and route value is evaluated
-    anew for each check that reads it; the worst signed violation per check
-    name is kept."""
+    anew for each check that reads it, and the random family from
+    :func:`random_feasible_family_per_segment`; the worst signed violation
+    per check name is kept."""
     worst = {}
 
     def consider(rec: CheckRecord) -> None:
@@ -614,7 +692,7 @@ def run_suite_per_check(seed: int, trials: int) -> VerificationReport:
         consider(axioms._core_tightness_record(d, cc, report))
         consider(axioms._envelope_bound_record(d, cc, extremal_density(d, cc).q))
         # the random family is drawn last, after every other draw of the trial
-        q = mixture_density(d, cc, axioms._random_feasible_family(d, gen))
+        q = mixture_density(d, cc, random_feasible_family_per_segment(d, gen))
         consider(axioms._duality_weak_record(d, cc, dual_gap(d, cc, q)))
 
     checks = tuple(worst[name] for name in sorted(worst))

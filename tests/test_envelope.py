@@ -18,6 +18,7 @@ from maxvar import (
     NotInEnvelope,
     OutOfRange,
     RiskError,
+    SeededSampler,
     core_check,
     cvar_extremal_density,
     cvar_min,
@@ -39,10 +40,13 @@ from helpers import (
     cvar_extremal_segments,
     d4,
     mixture_density_per_segment,
+    random_feasible_family_per_segment,
     random_small_dist,
+    skewed_law,
     tight_sets_by_sort,
     tight_sets_in_entry_order,
     upper_set_violations_full_length,
+    validate_family_per_segment,
 )
 
 
@@ -257,15 +261,21 @@ class TestMixtureDensity:
 
     def test_zero_tails_skip_the_sum(self, monkeypatch):
         # an all-zero tail has mean exactly 0, so only the flat parts' means
-        # reach the exact sum; a tail with a nonzero mean is still summed
+        # reach the row pass of the exact sum; a tail with a nonzero mean is
+        # still summed, on its own row
         seen = []
-        monkeypatch.setattr(envelope, "_sum", lambda x: seen.append(x.any()) or math.fsum(x))
+        row_sums = envelope._row_sums
+        monkeypatch.setattr(
+            envelope, "_row_sums", lambda x: seen.append(x.any(axis=1).tolist()) or row_sums(x)
+        )
         fam = CvarFeasibleFamily.from_constant_densities([0.0, 0.3, 1.0], [np.ones(4), np.ones(4)])
         assert mixture_density(d4(), 3, fam).q.tolist() == [1.0] * 4
-        assert seen == [True, True]
+        assert seen == [[True, True]]
+        seen.clear()
         tail = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.05]])
         with pytest.raises(InfeasibleFamily, match="tail component has nonzero mean"):
             mixture_density(d4(), 3, replace(fam, tail=tail))
+        assert seen == [[True, True], [True]]
 
     def test_partition_gap_rejected(self):
         # ends short of 1, starts above 0, decreases, repeats a bound
@@ -404,6 +414,142 @@ class TestFamilyArrays:
         assert _outcome(lambda: mixture_density(d, n, fam)) == _outcome(
             lambda: mixture_density_per_segment(d, n, segments)
         )
+
+
+# laws of the suite's own draw, 1-1000 atoms, some past the exact sum's
+# certified-path size
+suite_laws = st.integers(0, 2**32).map(lambda s: random_distribution(np.random.default_rng(s)))
+
+
+@st.composite
+def flawed_families(draw):
+    """A law, a family on it with at most one injected flaw, and a
+    ``_SWEEP_CHUNK`` that splits the segments into blocks of 1 to 7 rows or
+    keeps them in one. The family is the suite's random draw or the extremal
+    CVaR family, whose tails are not zero. The flaw sits at a random segment
+    and atom: bounds that repeat, decrease or are nan; the density pushed
+    below 0 or above its bound at the segment's lo or its hi only; a mean off
+    1; a tail shifted off mean 0; a nan; or +inf and -inf entries whose sums
+    make ``math.fsum`` raise."""
+    d = draw(st.one_of(small_laws(max_atoms=1), small_laws(max_atoms=30, min_weight_exp=-20.0)))
+    if draw(st.booleans()):
+        gen = SeededSampler(draw(st.integers(0, 2**32)), draw(st.integers(0, 64))).generator()
+        fam = _random_feasible_family(d, gen)
+    else:
+        fam = CvarFeasibleFamily.cvar_extremal(d)
+    bounds, flat, tail = fam.bounds.copy(), fam.flat.copy(), fam.tail.copy()
+    i = draw(st.integers(0, len(bounds) - 2))
+    j = draw(st.integers(0, d.atom_count - 1))
+    lo, hi = float(bounds[i]), float(bounds[i + 1])
+    kind = draw(st.sampled_from([None, "order", "negative", "over", "mean", "tail", "nan", "inf"]))
+    if kind == "order":
+        bounds[i + 1] = draw(st.sampled_from([lo, lo - 0.01, math.nan]))
+    elif kind in ("negative", "over"):
+        # the linear Q_a(1-a) = flat(1-a) + tail through 0.5 at one end and
+        # a value past a bound at the other, or past it at both when 1 - lo
+        # and 1 - hi round together
+        bad = -0.5 if kind == "negative" else 1.5
+        at_lo, at_hi = (bad, 0.5) if draw(st.booleans()) else (0.5, bad)
+        span = (1.0 - lo) - (1.0 - hi)
+        flat[i, j] = (at_lo - at_hi) / span if span else 0.0
+        tail[i, j] = at_lo - flat[i, j] * (1.0 - lo) if span else bad
+    elif kind == "mean":
+        flat[i] *= draw(st.sampled_from([1.01, 1.0 + 1e-11]))
+    elif kind == "tail":
+        tail[i] += draw(st.sampled_from([1e-3, -1e-3, 1e-11]))
+    elif kind == "nan":
+        flat[i, j] = math.nan
+    elif kind == "inf":
+        flat[i, j], tail[i, j] = math.inf, -math.inf
+        k = draw(st.integers(0, d.atom_count - 1))
+        flat[i, k], tail[i, k] = -math.inf, math.inf
+    chunk = draw(st.sampled_from([1, 2, 3 * d.atom_count, 7 * d.atom_count, envelope._SWEEP_CHUNK]))
+    return d, CvarFeasibleFamily(bounds, flat, tail), chunk
+
+
+def _raised(check, d, fam):
+    """The type and message of the error that ``check(d, fam)`` raises, or
+    None. A family with infinities meets inf - inf before any check fails."""
+    try:
+        with np.errstate(invalid="ignore"):
+            check(d, fam)
+    except (RiskError, OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestFamilyRowPass:
+    """The random family is drawn, and a family validated, a block of
+    segments at a time, against frozen per-segment forms in helpers."""
+
+    @tier1_budget(200)
+    @given(
+        st.one_of(small_laws(max_atoms=1), small_laws(40, -20.0), suite_laws),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**20),
+    )
+    @example(skewed_law(), 98, 1)
+    def test_random_family_matches_per_segment_reference(self, d, seed, stream):
+        ours, theirs = (SeededSampler(seed, stream).generator() for _ in range(2))
+        got = _random_feasible_family(d, ours)
+        want = random_feasible_family_per_segment(d, theirs)
+        for name in ("bounds", "flat", "tail"):
+            assert getattr(got, name).shape == getattr(want, name).shape
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert ours.random() == theirs.random()  # the same draws were taken
+
+    @tier1_budget(300)
+    @given(flawed_families())
+    def test_validation_matches_per_segment_reference(self, case):
+        d, fam, chunk = case
+        with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
+            got = _raised(envelope._validate_family, d, fam)
+        assert got == _raised(validate_family_per_segment, d, fam)
+
+    @pytest.mark.parametrize("chunk", [4, 8, 12, envelope._SWEEP_CHUNK])
+    def test_first_failing_segment_wins(self, chunk):
+        # four atoms, so a chunk of 4, 8 or 12 floats holds 1, 2 or 3 segments
+        d, ones = d4(), np.ones(4)
+        fam = CvarFeasibleFamily.from_constant_densities([0.0, 0.2, 0.4, 0.6, 1.0], [ones] * 4)
+        tail_mean = np.zeros((4, 4))
+        tail_mean[1, 3] = 1e-3  # segment 1: a tail mean of 2.5e-4
+        infinities = np.zeros((4, 4))  # segment 2: its sums meet +inf and -inf
+        infinities[2, :2] = -math.inf, math.inf
+        flat = fam.flat.copy()
+        flat[2, :2] = math.inf, -math.inf
+        flat[3, 0] = -1.0  # segment 3: negative at its lo
+        tail_message = (InfeasibleFamily, "segment [0.2, 0.4) tail component has nonzero mean")
+        cases = (
+            (fam.flat, tail_mean, tail_message),
+            (flat, infinities, (ValueError, "-inf + inf in fsum")),
+            (flat, infinities + tail_mean, tail_message),
+        )
+        with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
+            for flat_case, tail_case, want in cases:
+                bad = CvarFeasibleFamily(fam.bounds, flat_case, tail_case)
+                assert _raised(validate_family_per_segment, d, bad) == want
+                assert _raised(envelope._validate_family, d, bad) == want
+
+    def test_extremal_family_memory_is_block_sized(self):
+        # 1024 equal atoms: probabilities of exactly 2**-10, so the extremal
+        # family of 1024 segments is feasible; each of its M x m arrays takes
+        # 8 MiB, and integrating it holds two of them at its peak
+        d = from_samples([(float(v), 1.0) for v in range(1024)])
+        fam = CvarFeasibleFamily.cvar_extremal(d)
+        mixture_density(d, 3, fam)  # the law's cached arrays
+        peaks = []
+        tracemalloc.start()
+        try:
+            envelope._validate_family(d, fam)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            mixture_density(d, 3, fam)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        block = 8 * envelope._SWEEP_CHUNK  # bytes of one block of segments
+        assert peaks[0] < 8 * block
+        assert peaks[1] < 2 * fam.flat.nbytes + 8 * block
 
 
 class TestDiscreteMixture:

@@ -64,6 +64,7 @@ from helpers import (
     mixture_exact_at_both_ends,
     minvar_on_mirrored_law,
     mixture_quad_per_panel,
+    quad_nodes,
     quad_panels,
     quadrature_breakpoints_unique,
     random_small_dist,
@@ -548,6 +549,22 @@ class TestMixtureQuad:
         rule = QuadratureRule(suggest_rule(d).panels + extra_panels, points)
         got = maxvar_mixture_quad(d, n, rule)
         assert got.hex() == mixture_quad_per_panel(d, n, rule).hex()
+
+    @tier1_budget(300)
+    @given(
+        st.one_of(quad_laws(), dust_laws(), one_atom_laws),
+        st.integers(0, 40),
+        st.integers(2, 64),
+    )
+    # the dust law of test_dust_law_nodes_that_round_to_one, and one whose
+    # last panel's first node reads the bottom atom and its last the top one
+    @example(from_samples([(0.0, 0.9999999999999999), (1e6, 1e-16)]), 0, 16)
+    @example(from_samples([(0.0, 1.0), (1.0, 1e-15)]), 0, 16)
+    def test_panel_var_index_matches_full_search(self, d, extra_panels, points):
+        x = quad_nodes(d, QuadratureRule(suggest_rule(d).panels + extra_panels, points))[2]
+        got, want = measures._panel_var_index(d, x), _var_index(d, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
 
     def test_cached_nodes_are_read_only(self):
         for array in _gauss_legendre(16):

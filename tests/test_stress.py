@@ -19,6 +19,8 @@ from maxvar import (
 )
 from maxvar.axioms import _random_feasible_family
 
+from helpers import skewed_law
+
 
 @pytest.fixture(scope="module")
 def mixed_magnitudes():
@@ -33,10 +35,7 @@ def mixed_magnitudes():
 @pytest.fixture(scope="module")
 def skewed_probs():
     # one atom carries ~1 - 1e-9 of the mass, the rest is dust
-    rng = np.random.default_rng(98)
-    values = rng.uniform(-10, 10, 200)
-    weights = np.concatenate([[1e6], rng.uniform(1e-4, 1e-2, 199)])
-    return from_samples(np.column_stack([values, weights]))
+    return skewed_law()
 
 
 def assert_routes_agree(d, n):
