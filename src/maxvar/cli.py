@@ -170,6 +170,15 @@ def _checked_header(path, cells: list[str]) -> list[str]:
 _PLAIN_BODY = b"0123456789.eE+-,\n"
 
 
+def _longest_line(data: bytes) -> int:
+    """The length of the longest LF-separated line of ``data``, LF excluded:
+    ``max(map(len, data.split(b"\\n")))`` from one scan for the LFs, with
+    no bytes object per line."""
+    lfs = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    # a line runs from past an LF (or the start) up to the next LF (or the end)
+    return int(np.diff(lfs, prepend=-1, append=len(data)).max()) - 1
+
+
 def _read_plain(path, data: bytes) -> tuple[list[str], np.ndarray] | None:
     """The checked header and the (rows, width) array of a plain file, read
     with numpy's C reader; None for any other file, or if a row or cell is
@@ -188,7 +197,7 @@ def _read_plain(path, data: bytes) -> tuple[list[str], np.ndarray] | None:
     names = first.decode("ascii")
     if not names or not names.isprintable() or '"' in names:
         return None
-    if max(map(len, data.split(b"\n"))) > csv.field_size_limit():
+    if _longest_line(data) > csv.field_size_limit():
         return None
     header = _checked_header(path, names.split(","))
     try:
@@ -236,7 +245,13 @@ def _read_general(path, raw: bytes, data: bytes) -> tuple[list[str], np.ndarray]
 
 def _split_probs(path, header: list[str], parsed: np.ndarray) -> ScenarioTable:
     """The table, with a ``prob`` column taken out as the scenario
-    probabilities and renormalized."""
+    probabilities and renormalized.
+
+    The header's names are distinct and the cells finite, and the
+    probabilities are checked here, so the table takes the fresh arrays
+    without the constructor's checks and copies, as ``dist._merge`` does
+    with a law; divided by their checked sum, the probabilities pass the
+    constructor's check too."""
     probs = None
     if PROB_COLUMN in header:
         j = header.index(PROB_COLUMN)
@@ -247,7 +262,9 @@ def _split_probs(path, header: list[str], parsed: np.ndarray) -> ScenarioTable:
         probs = probs / total
         if not header:
             raise EmptyInput(f"{path}: no outcome columns besides {PROB_COLUMN!r}")
-    return ScenarioTable(columns=tuple(header), rows=parsed, probs=probs)
+    table = object.__new__(ScenarioTable)
+    table._store(tuple(header), parsed, probs)
+    return table
 
 
 def load_csv(path) -> ScenarioTable:

@@ -321,6 +321,41 @@ class EmpiricalDistribution:
         tails.setflags(write=False)
         return tails
 
+    @cached_property
+    def left_quantile_values(self) -> np.ndarray:
+        """Per atom, the left quantile at its cumulative level: the value of
+        the first atom of its run of equal levels (:func:`_left_quantile_index`)."""
+        atoms = self.values[_left_quantile_index(self.cumulative)]
+        atoms.setflags(write=False)
+        return atoms
+
+    # The layers of the last copy count asked of _layers, as (n, layers).
+    _layer_slot = (0, None)
+
+    def _layers(self, cc) -> np.ndarray:
+        """``cc.layers(self.cumulative)`` for a ``measures.CopyCount``, made
+        read-only and kept in a one-entry slot, so routes that ask for the
+        same n in turn form the layers once; another n replaces them. The
+        slot is one tuple written in one step, so a concurrent reader sees
+        the old entry or the new one, and either is right for its n."""
+        n, layers = self._layer_slot
+        if n == cc.n:
+            return layers
+        layers = cc.layers(self.cumulative)
+        layers.setflags(write=False)
+        object.__setattr__(self, "_layer_slot", (cc.n, layers))
+        return layers
+
+
+def _left_quantile_index(cum: np.ndarray) -> np.ndarray:
+    # per entry of the nondecreasing levels, the first index of its run of
+    # equal levels (searchsorted(cum, cum) in one pass): the running max of
+    # the run starts, with 0 off them
+    left = np.arange(len(cum))
+    left[1:][cum[1:] == cum[:-1]] = 0
+    np.maximum.accumulate(left, out=left)
+    return left
+
 
 @dataclass(frozen=True)
 class CdfValue:
@@ -592,7 +627,9 @@ class ScenarioTable:
     (equal weights when omitted): positions on common scenarios, so a
     portfolio of them has a joint law, not just marginals.
 
-    Immutable after construction; the arrays are read-only copies.
+    Immutable after construction; the arrays are read-only copies. The
+    constructor checks everything and stores copies; ``load_csv`` has
+    checked the arrays it parsed and hands them to the table as they are.
     """
 
     columns: tuple[str, ...]
@@ -609,16 +646,23 @@ class ScenarioTable:
             raise EmptyInput("a table needs at least one scenario row")
         if not np.isfinite(rows).all():
             raise NonFiniteValue("scenario outcomes must be finite")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", tuple(self.columns))
-        if self.probs is not None:
-            probs = np.asarray(self.probs, dtype=float).copy()
+        probs = self.probs
+        if probs is not None:
+            probs = np.asarray(probs, dtype=float).copy()
             if probs.shape != (rows.shape[0],):
                 raise DimensionMismatch("need one probability per scenario row")
             _check_probs(probs, what="scenario probabilities")
+        self._store(tuple(self.columns), rows, probs)
+
+    def _store(self, columns: tuple[str, ...], rows: np.ndarray, probs: np.ndarray | None) -> None:
+        # take ownership of distinct names and fresh, checked float arrays
+        # (probs may be None): read-only from here on
+        rows.setflags(write=False)
+        if probs is not None:
             probs.setflags(write=False)
-            object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "probs", probs)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:

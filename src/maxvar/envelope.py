@@ -141,10 +141,11 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
 
     The segments are checked in blocks of ``max(1, _SWEEP_CHUNK // m)``
     rows for m atoms, so the dense O(m^2) ``cvar_extremal`` family takes
-    temporaries of one block, never of the whole family. Should an exact
-    sum raise, as ``math.fsum`` does on a row holding both +inf and -inf,
-    the block is checked again one segment at a time, so that an earlier
-    segment's failure still comes first.
+    temporaries of one block, never of the whole family. Every check runs
+    on finite entries only, so no warning is emitted. Should an exact sum
+    overflow, as ``math.fsum`` does on a row of entries near the float
+    range, the block is checked again one segment at a time, so that an
+    earlier segment's failure still comes first.
     """
     shape = (len(fam.bounds) - 1, d.atom_count)
     if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
@@ -162,7 +163,7 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
         try:
             _raise_first_failure(d, fam, start, stop)
             continue
-        except (OverflowError, ValueError):
+        except OverflowError:
             pass
         # outside the handler, so the error raised here carries no context
         for row in range(start, stop):
@@ -176,37 +177,44 @@ def _raise_first_failure(
 ) -> None:
     """Raise ``InfeasibleFamily`` for the first of the segments ``start`` to
     ``stop`` that is not feasible on ``d``, with the first check it fails, in
-    this order: bounds that do not increase; the density negative, then
-    above its CVaR bound, at the segment's lo, then the same at its hi; a
-    mean other than 1; a tail with a nonzero mean. The rows of a check are
-    computed for all these segments at once; a segment's means are summed
-    only when its bounds hold, and its tail's only when its mean is 1 and
-    the tail is not all zero."""
-    lo, hi = fam.bounds[start:stop], fam.bounds[start + 1 : stop + 1]
+    this order: an entry of flat or tail that is not finite; bounds that do
+    not increase; the density negative, then above its CVaR bound, at the
+    segment's lo, then the same at its hi; a mean other than 1; a tail with
+    a nonzero mean. The rows of a check are computed for all these segments
+    at once, up to the first with an entry that is not finite, which fails
+    there; a segment's means are summed only when its bounds hold, and its
+    tail's only when its mean is 1 and the tail is not all zero."""
     flat, tail = fam.flat[start:stop], fam.tail[start:stop]
-    failed = np.zeros((7, stop - start), dtype=bool)  # per check, per segment
-    failed[0] = ~(hi > lo)
+    failed = np.zeros((8, stop - start), dtype=bool)  # per check, per segment
+    np.logical_not(np.isfinite(flat).all(axis=1) & np.isfinite(tail).all(axis=1), out=failed[0])
+    # the other checks stop short of the first segment with an entry that is
+    # not finite, which fails there: no inf - inf or nan is ever formed
+    count = int(failed[0].argmax()) if failed[0].any() else stop - start
+    lo, hi = fam.bounds[start : start + count], fam.bounds[start + 1 : start + count + 1]
+    flat, tail = flat[:count], tail[:count]
+    failed[1, :count] = ~(hi > lo)
     # Q_a(1-a) = flat(1-a) + tail is linear in a, so the pointwise bounds
     # 0 <= Q_a <= 1/(1-a) over the whole segment reduce to its endpoints.
-    for check, a in ((1, lo), (3, hi)):
+    for check, a in ((2, lo), (4, hi)):
         scaled = flat * (1.0 - a)[:, None]
         scaled += tail
-        np.any(scaled < -_FEAS_TOL, axis=1, out=failed[check])
-        np.any(scaled > 1.0 + _FEAS_TOL, axis=1, out=failed[check + 1])
-    bounded = failed[:5].any(axis=0)
+        np.any(scaled < -_FEAS_TOL, axis=1, out=failed[check, :count])
+        np.any(scaled > 1.0 + _FEAS_TOL, axis=1, out=failed[check + 1, :count])
+    bounded = failed[:6].any(axis=0)
     summed = int(bounded.argmax()) if bounded.any() else stop - start
     means = _row_sums(flat[:summed] * d.probs)
-    failed[5, :summed] = np.abs(means - 1.0) > _FEAS_TOL
+    failed[6, :summed] = np.abs(means - 1.0) > _FEAS_TOL
     # an all-zero tail has mean exactly 0: skip its sum, which the exact
     # sum's certificate would refuse and hand to math.fsum
-    tails = np.flatnonzero(tail[:summed].any(axis=1) & ~failed[5, :summed])
+    tails = np.flatnonzero(tail[:summed].any(axis=1) & ~failed[6, :summed])
     if tails.size:
-        failed[6, tails] = np.abs(_row_sums(tail[tails] * d.probs)) > _FEAS_TOL
+        failed[7, tails] = np.abs(_row_sums(tail[tails] * d.probs)) > _FEAS_TOL
     if not failed.any():
         return
     segment = int(failed.any(axis=0).argmax())
-    lo, hi = float(lo[segment]), float(hi[segment])
+    lo, hi = (float(b) for b in fam.bounds[start + segment : start + segment + 2])
     messages = (
+        f"segment [{lo}, {hi}) has an entry that is not finite",
         "segment bounds must be increasing",
         f"segment [{lo}, {hi}) density goes negative at level {lo}",
         f"segment [{lo}, {hi}) exceeds the CVaR bound at level {lo}",
@@ -219,12 +227,13 @@ def _raise_first_failure(
 
 
 def extremal_density(d: EmpiricalDistribution, nc) -> EnvelopeDensity:
-    """The envelope element attaining sup E(XQ): q_k = (F_k^n - F_{k-1}^n)/p_k."""
+    """The envelope element attaining sup E(XQ): q_k = (F_k^n - F_{k-1}^n)/p_k,
+    with the layers that ``maxvar_choquet`` reads from the law's slot."""
     cc = _copy_count(nc)
     if cc.n == 1:
         # the n = 1 envelope is the expectation dual: exactly the constant 1
         return EnvelopeDensity(np.ones(d.atom_count))
-    return EnvelopeDensity(cc.layers(d.cumulative) / d.probs)
+    return EnvelopeDensity(d._layers(cc) / d.probs)
 
 
 def cvar_extremal_density(d: EmpiricalDistribution, a) -> EnvelopeDensity:
@@ -390,8 +399,7 @@ def mixture_density(
     _validate_family(d, fam)
     if cc.n == 1:
         return EnvelopeDensity(fam.flat[0] + fam.tail[0])
-    d_w = np.diff(cc.weight_cdf(fam.bounds))[:, None]
-    d_v = np.diff(cc.tail_weight_cdf(fam.bounds))[:, None]
+    d_w, d_v = (np.diff(x)[:, None] for x in cc.weight_cdfs(fam.bounds))
     terms = fam.flat * d_w
     terms += fam.tail * d_v
     # accumulate adds the rows one at a time in partition order, whatever the

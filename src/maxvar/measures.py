@@ -115,14 +115,20 @@ class CopyCount:
 
     def weight_cdf(self, a):
         """W(a), the integral of w_n from 0 to a: n a^(n-1) - (n-1) a^n."""
-        n = self.n
-        return n * a ** (n - 1) - (n - 1) * a**n
+        return self.weight_cdfs(a)[0]
 
     def tail_weight_cdf(self, a):
         """V(a), the integral of the tail weight w_n(t)/(1-t) from 0 to a:
         n a^(n-1)."""
         n = self.n
         return n * a ** (n - 1)
+
+    def weight_cdfs(self, a):
+        """(W(a), V(a)) with one power a^(n-1): W is formed as V - (n-1) a^n,
+        the same IEEE operations as n a^(n-1) - (n-1) a^n, so both keep the
+        bits of :meth:`weight_cdf` and :meth:`tail_weight_cdf`."""
+        v = self.tail_weight_cdf(a)
+        return v - (self.n - 1) * a**self.n, v
 
     def run_maxima(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The max of each run of n consecutive entries of ``u``, which holds
@@ -301,18 +307,12 @@ def maxvar_choquet(d: EmpiricalDistribution, nc) -> float:
     rounded sum of the rounded products v_k (F_k^n - F_{k-1}^n). The products
     round, so exact monotonicity in n can fail by an ulp: on {0.01,
     0.010000000000000002} with equal mass, n = 2 gives 0.010000000000000002
-    and n = 3 gives 0.01."""
-    return float(_sum(d.values * _copy_count(nc).layers(d.cumulative)))
+    and n = 3 gives 0.01.
 
-
-def _left_quantile_index(cum: np.ndarray) -> np.ndarray:
-    # per entry of the nondecreasing levels, the first index of its run of
-    # equal levels (searchsorted(cum, cum) in one pass): the running max of
-    # the run starts, with 0 off them
-    left = np.arange(len(cum))
-    left[1:][cum[1:] == cum[:-1]] = 0
-    np.maximum.accumulate(left, out=left)
-    return left
+    The layers are read through the law's one-entry slot, which
+    :func:`maxvar_spectral` and ``extremal_density`` read too, so a law
+    asked at one n by all three forms them once."""
+    return float(_sum(d.values * d._layers(_copy_count(nc))))
 
 
 def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
@@ -323,11 +323,10 @@ def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
     at each cumulative level, the first atom of its run of tied levels. The
     reindex moves only atoms on tied cumulative levels, whose layer is exactly
     zero, so the two sums are identical term by term: the ``route-spectral``
-    check is not an independent cross-check.
+    check is not an independent cross-check. The reindexed values are cached
+    on the law (``left_quantile_values``), and the layers are its slot's.
     """
-    cum = d.cumulative
-    atoms = d.values[_left_quantile_index(cum)]
-    return float(_sum(atoms * _copy_count(nc).layers(cum)))
+    return float(_sum(d.left_quantile_values * d._layers(_copy_count(nc))))
 
 
 def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
@@ -344,8 +343,7 @@ def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:
         return expectation(d)
     # the strata's ends 0 = F_0 <= F_1 <= ... <= F_m = 1: W and V once at each
     ends = np.concatenate(([0.0], d.cumulative))
-    d_w = np.diff(cc.weight_cdf(ends))
-    d_tail = np.diff(cc.tail_weight_cdf(ends))
+    d_w, d_tail = map(np.diff, cc.weight_cdfs(ends))
     # F can round to 1 below the top atom while S keeps its mass, so one
     # stratum's dV can reach n and its tail product overflow
     with np.errstate(over="ignore"):

@@ -477,10 +477,10 @@ def random_feasible_family_per_segment(
 def validate_family_per_segment(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
     """Frozen per-segment form of ``envelope._validate_family``, which must
     raise the same type of error with the same message: each segment checked
-    in turn, its bounds, then the density at its lo and at its hi, then its
-    mean, then its tail's mean unless the tail is all zero. Sums use
-    ``math.fsum``, which the library's exact sums match bit for bit, errors
-    included."""
+    in turn, its entries for finiteness, its bounds, then the density at its
+    lo and at its hi, then its mean, then its tail's mean unless the tail is
+    all zero. Sums use ``math.fsum``, which the library's exact sums match
+    bit for bit, errors included."""
     tol = 1e-12
     shape = (len(fam.bounds) - 1, d.atom_count)
     if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
@@ -495,6 +495,8 @@ def validate_family_per_segment(d: EmpiricalDistribution, fam: CvarFeasibleFamil
     for i in range(shape[0]):
         lo, hi = float(fam.bounds[i]), float(fam.bounds[i + 1])
         flat, tail = fam.flat[i], fam.tail[i]
+        if not (np.isfinite(flat).all() and np.isfinite(tail).all()):
+            raise InfeasibleFamily(f"segment [{lo}, {hi}) has an entry that is not finite")
         if not hi > lo:
             raise InfeasibleFamily("segment bounds must be increasing")
         for a in (lo, hi):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -169,6 +170,45 @@ class TestPlainFastPath:
         assert t.rows.shape == (200, 3)
         assert t.rows.tobytes() == general.rows.tobytes()
         assert t.probs.tobytes() == general.probs.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "crlf"])
+    @pytest.mark.parametrize("prob", [True, False], ids=["prob", "equal"])
+    def test_table_is_read_only_and_passes_the_constructor(self, tmp_path, newline, prob):
+        # load_csv hands its checked arrays to the table without copies; the
+        # public constructor accepts them and gives the same table
+        text = self.plain_text()
+        if not prob:
+            text = "\n".join(line.rpartition(",")[0] for line in text.split("\n")) + "\n"
+        t = load_csv(write(tmp_path, text.replace("\n", newline)))
+        public = ScenarioTable(t.columns, t.rows, t.probs)
+        assert public.columns == t.columns
+        assert public.rows.tobytes() == t.rows.tobytes()
+        assert not t.rows.flags.writeable
+        if prob:
+            assert public.probs.tobytes() == t.probs.tobytes()
+            assert not t.probs.flags.writeable
+        else:
+            assert t.probs is None
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "one-over"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_line_at_the_field_limit(self, tmp_path, where, over):
+        # a line of exactly csv.field_size_limit() bytes, LF excluded, keeps
+        # a file plain; one byte more sends it to the csv-module path. Every
+        # field stays below the limit, so both paths read the same table.
+        length = csv.field_size_limit() + over
+        if where == "first":
+            text = "a," + "b" * (length - 2) + "\n1,2\n"
+        else:
+            text = "a,b\n3,4\n1," + "0" * (length - 3) + "1\n"
+        assert max(map(len, text.split("\n"))) == length
+        p = write(tmp_path, text)
+        data = p.read_bytes()
+        assert (maxvar.cli._read_plain(p, data) is None) == bool(over)
+        t, general = load_csv(p), _general_path(p)
+        assert t.columns == general.columns
+        assert t.rows.tobytes() == general.rows.tobytes()
+        assert t.probs is general.probs is None
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("\n", "\r\n"),

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxvar import (
+    CopyCount,
     CvarFeasibleFamily,
     DimensionMismatch,
     DiscreteMixtureSpec,
@@ -28,11 +31,12 @@ from maxvar import (
     extremal_density,
     from_samples,
     maxvar_choquet,
+    maxvar_spectral,
     mixture_density,
 )
 from maxvar import envelope
 from maxvar.axioms import _random_feasible_family, random_distribution
-from maxvar.dist import _SUM_CHUNK
+from maxvar.dist import _SUM_CHUNK, _left_quantile_index, _sum
 
 from conftest import tier1_budget
 from helpers import (
@@ -277,6 +281,22 @@ class TestMixtureDensity:
             mixture_density(d4(), 3, replace(fam, tail=tail))
         assert seen == [[True, True], [True]]
 
+    def test_non_finite_entries_rejected_without_a_warning(self):
+        # +inf and -inf, whose sums meet inf - inf, or a nan in the second
+        # segment: a typed error that names it, and no numpy warning
+        inf, nan = math.inf, math.nan
+        for flat, tail in (([inf, -inf, 1.0, 1.0], [-inf, inf, 0.0, 0.0]),
+                           ([1.0, nan, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0])):
+            fam = CvarFeasibleFamily(
+                np.array([0.0, 0.5, 1.0]), np.array([[1.0] * 4, flat]), np.array([[0.0] * 4, tail])
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    InfeasibleFamily, match=re.escape("segment [0.5, 1.0) has an entry that is not finite")
+                ):
+                    mixture_density(d4(), 2, fam)
+
     def test_partition_gap_rejected(self):
         # ends short of 1, starts above 0, decreases, repeats a bound
         for bounds in (
@@ -468,12 +488,12 @@ def flawed_families(draw):
 
 
 def _raised(check, d, fam):
-    """The type and message of the error that ``check(d, fam)`` raises, or
-    None. A family with infinities meets inf - inf before any check fails."""
+    """The type and message of the typed error that ``check(d, fam)``
+    raises, or None. Any other error, or a numpy warning (an error under
+    this suite's settings), fails the test."""
     try:
-        with np.errstate(invalid="ignore"):
-            check(d, fam)
-    except (RiskError, OverflowError, ValueError) as exc:
+        check(d, fam)
+    except RiskError as exc:
         return type(exc), str(exc)
     return None
 
@@ -513,16 +533,20 @@ class TestFamilyRowPass:
         fam = CvarFeasibleFamily.from_constant_densities([0.0, 0.2, 0.4, 0.6, 1.0], [ones] * 4)
         tail_mean = np.zeros((4, 4))
         tail_mean[1, 3] = 1e-3  # segment 1: a tail mean of 2.5e-4
-        infinities = np.zeros((4, 4))  # segment 2: its sums meet +inf and -inf
+        infinities = np.zeros((4, 4))  # segment 2: +inf and -inf, whose sums meet inf - inf
         infinities[2, :2] = -math.inf, math.inf
         flat = fam.flat.copy()
         flat[2, :2] = math.inf, -math.inf
         flat[3, 0] = -1.0  # segment 3: negative at its lo
         tail_message = (InfeasibleFamily, "segment [0.2, 0.4) tail component has nonzero mean")
+        finite_message = (InfeasibleFamily, "segment [0.4, 0.6) has an entry that is not finite")
+        nan_flat = fam.flat.copy()
+        nan_flat[2, 1] = math.nan
         cases = (
             (fam.flat, tail_mean, tail_message),
-            (flat, infinities, (ValueError, "-inf + inf in fsum")),
+            (flat, infinities, finite_message),
             (flat, infinities + tail_mean, tail_message),
+            (nan_flat, np.zeros((4, 4)), finite_message),
         )
         with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
             for flat_case, tail_case, want in cases:
@@ -638,6 +662,100 @@ class TestDualGap:
             fam = _random_feasible_family(d, gen)
             gap = dual_gap(d, n, mixture_density(d, n, fam))
             assert gap >= -1e-9
+
+
+# the copy counts the slot sees: small, the suite's and the benchmark's, and
+# past 2^53, where the layers of most laws round to 0 but the top one's
+SLOT_COUNTS = (1, 2, 3, 7, 64, 2**53 + 1, 2**128)
+SLOT_ROUTES = ("maxvar_choquet", "maxvar_spectral", "extremal_density", "dual_gap")
+
+
+def _slot_outcome(route, *args):
+    # the bits of a float or a density, or the type and message of a typed error
+    try:
+        got = route(*args)
+    except RiskError as exc:
+        return type(exc), str(exc)
+    return (got.q if isinstance(got, EnvelopeDensity) else np.float64(got)).tobytes()
+
+
+def _fresh_layer_routes(d, n):
+    """Each route of SLOT_ROUTES as the library forms it, from layers that
+    ``CopyCount(n).layers(d.cumulative)`` forms afresh, and the extremal
+    density that ``dual_gap`` is asked about."""
+    cc = CopyCount(n)
+    layers = cc.layers(d.cumulative)
+    value = float(_sum(d.values * layers))
+    e = EnvelopeDensity(np.ones(d.atom_count) if n == 1 else layers / d.probs)
+    routes = {
+        "maxvar_choquet": lambda: value,
+        "maxvar_spectral": lambda: float(
+            _sum(d.values[_left_quantile_index(d.cumulative)] * layers)
+        ),
+        "extremal_density": lambda: e,
+        "dual_gap": lambda: envelope._member_gap(d, cc, e, value)[1],
+    }
+    return routes, e
+
+
+class TestLayerSlot:
+    """The law's one-entry slot for the layers of F^n, which maxvar_choquet,
+    maxvar_spectral, extremal_density and dual_gap read."""
+
+    @tier1_budget(200)
+    @given(
+        st.one_of(small_laws(40, -20.0), suite_laws, st.builds(skewed_law)),
+        st.lists(st.tuples(st.sampled_from(SLOT_ROUTES), st.sampled_from(SLOT_COUNTS)),
+                 min_size=1, max_size=12),
+    )
+    def test_matches_fresh_layers(self, d, asks):
+        # any sequence of routes and counts on one law, so that each ask
+        # finds the slot empty, holding its n or holding another
+        library = {
+            "maxvar_choquet": maxvar_choquet,
+            "maxvar_spectral": maxvar_spectral,
+            "extremal_density": extremal_density,
+        }
+        for route, n in asks:
+            fresh, e = _fresh_layer_routes(d, n)
+            if route == "dual_gap":
+                got = _slot_outcome(dual_gap, d, n, e)
+            else:
+                got = _slot_outcome(library[route], d, n)
+            assert got == _slot_outcome(fresh[route])
+
+    @pytest.mark.parametrize("n", [2, 64, 2**128])
+    def test_slot_array_is_read_only_and_kept(self, n):
+        d, cc = skewed_law(), CopyCount(n)
+        layers = d._layers(cc)
+        assert not layers.flags.writeable
+        assert layers.tobytes() == cc.layers(d.cumulative).tobytes()
+        assert d._layers(CopyCount(n)) is layers
+        with pytest.raises(ValueError):
+            layers[0] = 0.5
+
+    def test_one_layers_call_per_law_and_n(self, monkeypatch):
+        asked = []
+        layers = CopyCount.layers
+        monkeypatch.setattr(
+            CopyCount, "layers", lambda cc, cum: asked.append(cc.n) or layers(cc, cum)
+        )
+        d = skewed_law()
+        for n in (64, 64, 7):
+            maxvar_choquet(d, n)
+            maxvar_spectral(d, n)
+            dual_gap(d, n, extremal_density(d, n))
+        assert asked == [64, 7]
+        maxvar_choquet(d, 64)  # one entry: the slot now holds n = 7
+        assert asked == [64, 7, 64]
+
+    @tier1_budget(200)
+    @given(st.one_of(small_laws(40, -20.0), suite_laws, st.builds(skewed_law)))
+    def test_left_quantile_values_are_cached(self, d):
+        atoms = d.left_quantile_values
+        assert atoms.tobytes() == d.values[_left_quantile_index(d.cumulative)].tobytes()
+        assert not atoms.flags.writeable
+        assert d.left_quantile_values is atoms
 
 
 def report_bits(report):

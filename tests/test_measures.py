@@ -38,14 +38,13 @@ from maxvar import (
     weight,
     weight_cdf,
 )
-from maxvar.dist import _row_sums
+from maxvar.dist import _left_quantile_index, _row_sums
 from maxvar.measures import (
     _FOLD_MAX_N,
     _MC_CHUNK,
     _MC_MAX_DRAWS,
     _RESCALE,
     _gauss_legendre,
-    _left_quantile_index,
     _var_index,
 )
 
@@ -337,6 +336,20 @@ class TestCopyCountForms:
         for x in (np.array(entries), entries[0]):
             for method, frozen in forms:
                 assert_same_bits(method(x), frozen(n, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(unit_entries, min_size=1, max_size=20),
+           st.one_of(st.integers(1, 64), st.sampled_from([1000, 2**53 + 1, 2**128])))
+    def test_shared_weight_cdfs_match_each_form(self, entries, n):
+        # W and V from one power of a: the bits of weight_cdf and
+        # tail_weight_cdf, and of their frozen copies
+        cc = CopyCount(n)
+        for x in (np.array(entries), entries[0]):
+            w, v = cc.weight_cdfs(x)
+            for got, method, frozen in ((w, cc.weight_cdf, weight_cdf_frozen),
+                                        (v, cc.tail_weight_cdf, tail_weight_cdf_frozen)):
+                assert_same_bits(got, method(x))
+                assert_same_bits(got, frozen(n, x))
 
     @settings(max_examples=200, deadline=None)
     @given(
