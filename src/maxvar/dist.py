@@ -247,6 +247,11 @@ class EmpiricalDistribution:
     constructor checks everything and stores copies; :func:`from_samples`
     and :func:`portfolio_law` build their laws through one merge step that
     checks the probabilities once and keeps the arrays it made.
+
+    The per-law arrays (``cumulative``, ``survival``, ``guide``,
+    ``upper_tails``, ``left_quantile_values``) are computed on first read
+    and cached, read-only; the layers of F^n are kept for the last n asked
+    (:meth:`_layers`).
     """
 
     values: np.ndarray

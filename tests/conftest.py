@@ -9,11 +9,12 @@ against ``np.searchsorted`` (``test_dist.py``), mixture-quad's against its
 per-panel form and its per-panel VaR atoms against the full search,
 ``maxvar_mc``'s against drawing every value and ``minvar``'s against maxvar
 on the mirrored law (``test_measures.py``), ``core_check``'s chunked sweep
-against its full-length form and the random family's and the family
-validation's row passes against their per-segment forms
+against its full-length form, the random family's and the family
+validation's row passes against their per-segment forms and the routes
+that read the law's layer slot against layers formed afresh
 (``test_envelope.py``) and ``run_suite``'s shared evaluation against the
 per-check loop (``test_axioms.py``) with many more examples and no
-deadline; CI runs those fifteen that way in a step of their own. Each
+deadline; CI runs those sixteen that way in a step of their own. Each
 takes its settings from :func:`tier1_budget`.
 """
 
