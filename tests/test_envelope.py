@@ -731,8 +731,6 @@ class TestLayerSlot:
         assert not layers.flags.writeable
         assert layers.tobytes() == cc.layers(d.cumulative).tobytes()
         assert d._layers(CopyCount(n)) is layers
-        with pytest.raises(ValueError):
-            layers[0] = 0.5
 
     def test_one_layers_call_per_law_and_n(self, monkeypatch):
         asked = []
