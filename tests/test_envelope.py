@@ -665,7 +665,7 @@ class TestDualGap:
 
 
 # the copy counts the slot sees: small, the suite's and the benchmark's, and
-# past 2^53, where the layers of most laws round to 0 but the top one's
+# past 2^53, where every layer below level 1 rounds to 0
 SLOT_COUNTS = (1, 2, 3, 7, 64, 2**53 + 1, 2**128)
 SLOT_ROUTES = ("maxvar_choquet", "maxvar_spectral", "extremal_density", "dual_gap")
 
@@ -729,7 +729,9 @@ class TestLayerSlot:
         d, cc = skewed_law(), CopyCount(n)
         layers = d._layers(cc)
         assert not layers.flags.writeable
-        assert layers.tobytes() == cc.layers(d.cumulative).tobytes()
+        # as floats: an object array (numpy 1.24 at n = 2^128) holds pointers
+        want = cc.layers(d.cumulative)
+        assert np.asarray(layers, float).tobytes() == np.asarray(want, float).tobytes()
         assert d._layers(CopyCount(n)) is layers
 
     def test_one_layers_call_per_law_and_n(self, monkeypatch):
