@@ -41,6 +41,8 @@ from .envelope import (
 from .errors import BudgetTooSmall, OutOfRange, PreconditionViolated
 from .measures import (
     _copy_count,
+    _maxvar_law_rows,
+    _maxvar_portfolios,
     cvar_choquet,
     cvar_min,
     maxvar_choquet,
@@ -401,14 +403,22 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
     the seed, and records aggregate the worst signed violation per check
     name. Byte-identical reports for identical (seed, trials).
 
-    Each trial builds each distinct law once and evaluates each (law, n)
-    route value once, and every check that reads a number is handed it:
-    maxvar_n(X) of the pair, which the monotone and near tables share
-    through their column x and probabilities, maxvar_n(d), E(d), CVaR_alpha
-    of d, and the extremal density with its one membership report. The
-    generator is drawn in the order of the checks, as when each check
-    evaluated its own numbers: the one-atom averseness fallback before the
-    near table's perturbation, and the random family last.
+    Each trial evaluates each (law, n) route value once, and every check
+    that reads a number is handed it: maxvar_n(X) of the pair, which the
+    monotone and near tables share through their column x and
+    probabilities, maxvar_n(d), E(d), CVaR_alpha of d, and the extremal
+    density with its one membership report. The twelve MAXVAR values of
+    the two-variable and one-law checks come from two row batches, each
+    one certified row-sum pass: the eight portfolios on the pair's
+    scenario probabilities (``measures._maxvar_portfolios``), and d, lam d
+    and d + c at n with d at n + 1 on d's atoms
+    (``measures._maxvar_law_rows``). A row the batch cannot take as the
+    per-law path does (values that tie, are not finite or span more than
+    the float range, an ``affine`` that merges atoms) takes that path, so
+    every value keeps its bits. The generator is drawn in the order of the
+    checks, as when each check evaluated its own numbers: the one-atom
+    averseness fallback before the near table's perturbation, and the
+    random family last.
     """
     trials = _suite_trials(trials)
     worst: dict[str, CheckRecord] = {}
@@ -432,30 +442,28 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
         # the monotone and near tables keep the pair's column x and
         # probabilities, so the pair's law of X is theirs too
         x, y = pair.column("x"), pair.column("y")
-        rx = maxvar_choquet(portfolio_law(pair, X), cc)
-        ry = maxvar_choquet(portfolio_law(pair, Y), cc)
-        rd = maxvar_choquet(d, cc)
-        mean = expectation(d)
-        joint = maxvar_choquet(portfolio_law(pair, X_PLUS_Y), cc)
-        consider(_subadditivity_record(pair, cc, joint, rx + ry))
         mono = _xy_table(x, x + np.abs(y) * 0.1, pair.probs)
-        mono_high = maxvar_choquet(portfolio_law(mono, Y), cc)
+        if d.atom_count < 2:  # draws a law of two or more atoms before the near table's draws
+            averse = check_averseness(random_distribution(gen, 50, min_atoms=2), cc)
+        near = _xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
+        portfolios = [(pair, X), (pair, Y), (pair, X_PLUS_Y), (mono, Y), (near, Y)]
+        portfolios += [(pair, mix) for _, mix in MIXES]
+        rx, ry, joint, mono_high, near_y, *mixed = _maxvar_portfolios(
+            portfolios, pair.scenario_probs, cc
+        )
+        rd, scaled, shifted, rd_next = _maxvar_law_rows(d, cc, [(lam, 0.0), (1.0, c)])
+        mean = expectation(d)
+        consider(_subadditivity_record(pair, cc, joint, rx + ry))
         consider(_monotonicity_record(mono, cc, rx, mono_high))
-        scaled = maxvar_choquet(affine(d, lam, 0.0), cc)
         consider(_homogeneity_record(d, cc, lam, rd, scaled))
-        shifted = maxvar_choquet(affine(d, 1.0, c), cc)
         consider(_translation_record(d, cc, c, rd, shifted))
         if d.atom_count >= 2:
-            consider(_averseness_record(d, cc, rd, mean))
-        else:  # draws a law of two or more atoms before the near table's draws
-            consider(check_averseness(random_distribution(gen, 50, min_atoms=2), cc))
-        near = _xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
-        near_y = maxvar_choquet(portfolio_law(near, Y), cc)
+            averse = _averseness_record(d, cc, rd, mean)
+        consider(averse)
         consider(_l2_continuity_record(near, cc, rx, near_y))
-        mixed = [maxvar_choquet(portfolio_law(pair, mix), cc) for _, mix in MIXES]
         consider(_convexity_record(pair, cc, rx, ry, mixed))
         consider(_abs_bound_record(d, cc, rd))
-        consider(_n_monotone_record(d, cc, rd, maxvar_choquet(d, cc.n + 1)))
+        consider(_n_monotone_record(d, cc, rd, rd_next))
         consider(_route_mixture_record(d, cc, rd, maxvar_mixture_exact(d, cc)))
         consider(_route_spectral_record(d, cc, rd, maxvar_spectral(d, cc)))
         cvar = cvar_min(d, alpha)

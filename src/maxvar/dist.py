@@ -291,10 +291,9 @@ class EmpiricalDistribution:
 
     @cached_property
     def cumulative(self) -> np.ndarray:
-        """P(X <= v_k) per atom; the final entry is pinned to exactly 1.0."""
-        cum = np.cumsum(self.probs)
-        np.minimum(cum, 1.0, out=cum)
-        cum[-1] = 1.0
+        """P(X <= v_k) per atom, by :func:`_cumulative`; the final entry is
+        exactly 1.0."""
+        cum = _cumulative(self.probs)
         cum.setflags(write=False)
         return cum
 
@@ -350,6 +349,17 @@ class EmpiricalDistribution:
         layers.setflags(write=False)
         object.__setattr__(self, "_layer_slot", (cc.n, layers))
         return layers
+
+
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """The cumulative probabilities of atom probabilities in ascending atom
+    order, along the last axis: the running sum, capped at 1, with its last
+    entry pinned to exactly 1.0. A fresh array; each row of a matrix has the
+    bits of the 1-d call on that row, since ``np.cumsum`` adds in sequence."""
+    cum = np.cumsum(probs, axis=-1)
+    np.minimum(cum, 1.0, out=cum)
+    cum[..., -1] = 1.0
+    return cum
 
 
 def _left_quantile_index(cum: np.ndarray) -> np.ndarray:
@@ -707,10 +717,18 @@ def portfolio_law(t: ScenarioTable, p: PortfolioSpec) -> EmpiricalDistribution:
     portfolio values are checked here, before the merge step that
     :func:`from_samples` also uses: the same law, bit for bit.
     """
-    combo = np.zeros(t.rows.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        for name, w in p.weights.items():
-            combo = combo + w * t.column(name)
+    combo = _portfolio_values(t, p, np.zeros(t.rows.shape[0]))
     if not np.isfinite(combo).all():
         raise NonFiniteValue("values and weights must be finite")
     return _merge(combo, t.scenario_probs)
+
+
+def _portfolio_values(t: ScenarioTable, p: PortfolioSpec, out: np.ndarray) -> np.ndarray:
+    """The value of portfolio ``p`` per scenario of ``t``, added into ``out``,
+    which holds zeros: weight_c * outcome_c in the spec's column order. The
+    one place a portfolio's values are formed; an overflow leaves an inf or
+    a nan, which the caller rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, w in p.weights.items():
+            out += w * t.column(name)
+    return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -142,10 +143,7 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
     The segments are checked in blocks of ``max(1, _SWEEP_CHUNK // m)``
     rows for m atoms, so the dense O(m^2) ``cvar_extremal`` family takes
     temporaries of one block, never of the whole family. Every check runs
-    on finite entries only, so no warning is emitted. Should an exact sum
-    overflow, as ``math.fsum`` does on a row of entries near the float
-    range, the block is checked again one segment at a time, so that an
-    earlier segment's failure still comes first.
+    on finite entries only, so no warning is emitted.
     """
     shape = (len(fam.bounds) - 1, d.atom_count)
     if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
@@ -159,17 +157,34 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
         )
     block = max(1, _SWEEP_CHUNK // shape[1])
     for start in range(0, shape[0], block):
-        stop = min(start + block, shape[0])
-        try:
-            _raise_first_failure(d, fam, start, stop)
-            continue
-        except OverflowError:
-            pass
-        # outside the handler, so the error raised here carries no context
-        for row in range(start, stop):
-            _raise_first_failure(d, fam, row, row + 1)
+        _raise_first_failure(d, fam, start, min(start + block, shape[0]))
     if fam.bounds[-1] != 1.0:
         raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")
+
+
+def _row_means(terms: np.ndarray) -> np.ndarray:
+    """The exact sum of each row of the finite 2-d array ``terms``, rounded
+    once: ``_row_sums``, whose rows have ``math.fsum``'s bits. Should a
+    row's fsum raise on partial sums past the float range, every row is
+    summed again on its own, and each row whose fsum raises takes its exact
+    sum in rational arithmetic, rounded, or +-inf past the float range.
+    Where fsum returns, the exact sum rounds to its result, so every row
+    keeps fsum's bits."""
+    try:
+        return _row_sums(terms)
+    except OverflowError:
+        pass
+    sums = []
+    for row in terms.tolist():
+        try:
+            sums.append(math.fsum(row))
+        except OverflowError:
+            exact = sum(map(Fraction, row))
+            try:
+                sums.append(float(exact))
+            except OverflowError:
+                sums.append(math.inf if exact > 0 else -math.inf)
+    return np.array(sums)
 
 
 def _raise_first_failure(
@@ -183,7 +198,12 @@ def _raise_first_failure(
     a nonzero mean. The rows of a check are computed for all these segments
     at once, up to the first with an entry that is not finite, which fails
     there; a segment's means are summed only when its bounds hold, and its
-    tail's only when its mean is 1 and the tail is not all zero."""
+    tail's only when its mean is 1 and the tail is not all zero.
+
+    A mean is the exact sum of a row's products with the probabilities,
+    rounded once (:func:`_row_means`): ``math.fsum``'s result, or where
+    fsum's partial sums overflow on entries near the float range, the exact
+    sum's rounding, infinite past the range, which fails."""
     flat, tail = fam.flat[start:stop], fam.tail[start:stop]
     failed = np.zeros((8, stop - start), dtype=bool)  # per check, per segment
     np.logical_not(np.isfinite(flat).all(axis=1) & np.isfinite(tail).all(axis=1), out=failed[0])
@@ -197,18 +217,19 @@ def _raise_first_failure(
     # 0 <= Q_a <= 1/(1-a) over the whole segment reduce to its endpoints.
     for check, a in ((2, lo), (4, hi)):
         scaled = flat * (1.0 - a)[:, None]
-        scaled += tail
+        with np.errstate(over="ignore"):  # an overflow is past a bound either way
+            scaled += tail
         np.any(scaled < -_FEAS_TOL, axis=1, out=failed[check, :count])
         np.any(scaled > 1.0 + _FEAS_TOL, axis=1, out=failed[check + 1, :count])
     bounded = failed[:6].any(axis=0)
     summed = int(bounded.argmax()) if bounded.any() else stop - start
-    means = _row_sums(flat[:summed] * d.probs)
+    means = _row_means(flat[:summed] * d.probs)
     failed[6, :summed] = np.abs(means - 1.0) > _FEAS_TOL
     # an all-zero tail has mean exactly 0: skip its sum, which the exact
     # sum's certificate would refuse and hand to math.fsum
     tails = np.flatnonzero(tail[:summed].any(axis=1) & ~failed[6, :summed])
     if tails.size:
-        failed[7, tails] = np.abs(_row_sums(tail[tails] * d.probs)) > _FEAS_TOL
+        failed[7, tails] = np.abs(_row_means(tail[tails] * d.probs)) > _FEAS_TOL
     if not failed.any():
         return
     segment = int(failed.any(axis=0).argmax())

@@ -29,17 +29,21 @@ from functools import lru_cache
 import numpy as np
 
 from .dist import (
+    PROB_SUM_TOL,
     EmpiricalDistribution,
     SeededSampler,
+    _cumulative,
     _integer,
     _inverse_cdf_values,
+    _portfolio_values,
     _row_sums,
     _sum,
     _unit_interval,
     affine,
     expectation,
+    portfolio_law,
 )
-from .errors import BudgetTooSmall, NonFiniteValue, OutOfRange
+from .errors import BudgetTooSmall, NonFiniteValue, OutOfRange, RiskError
 
 # Runs of up to this many uniforms are reduced by folding their columns,
 # longer runs by reduceat. Per 1e5 runs drawn in 2^15-float chunks (2-core
@@ -91,15 +95,17 @@ class CopyCount:
         return 1.0 - (1.0 - x) ** self.n
 
     def layers(self, cumulative: np.ndarray) -> np.ndarray:
-        """F_k^n - F_{k-1}^n per atom from the cumulative probabilities F_k:
-        the law of the max of n copies.
+        """F_k^n - F_{k-1}^n per atom from the cumulative probabilities F_k,
+        along the last axis: the law of the max of n copies, or of each row's
+        law for a matrix of cumulative rows.
 
         F_0^n = 0, so the first layer is F_1^n itself; the others are the same
-        IEEE differences as ``np.diff(F**n, prepend=0.0)``, bit for bit."""
+        IEEE differences as ``np.diff(F**n, prepend=0.0)``, bit for bit, and
+        each row of a matrix has the bits of the 1-d call on that row."""
         powered = cumulative**self.n
         layers = np.empty_like(powered)
-        layers[0] = powered[0]
-        np.subtract(powered[1:], powered[:-1], out=layers[1:])
+        layers[..., 0] = powered[..., 0]
+        np.subtract(powered[..., 1:], powered[..., :-1], out=layers[..., 1:])
         return layers
 
     def weight(self, a):
@@ -327,6 +333,114 @@ def maxvar_spectral(d: EmpiricalDistribution, nc) -> float:
     on the law (``left_quantile_values``), and the layers are its slot's.
     """
     return float(_sum(d.left_quantile_values * d._layers(_copy_count(nc))))
+
+
+def _maxvar_rows(values: np.ndarray, layers: np.ndarray, takes: np.ndarray, per_law) -> list:
+    """:func:`maxvar_choquet` of k laws, bit for bit, in one certified
+    row-sum pass.
+
+    Where ``takes`` is true, row i of the k x m arrays ``values`` and
+    ``layers`` holds law i's atom values in ascending order and its layers,
+    and its value is that row's ``_row_sums`` entry, which has the bits of
+    ``math.fsum`` as ``maxvar_choquet``'s sum has. Every other law goes
+    through ``per_law(i)``, its per-law path, which returns or raises as it
+    does. The values come back in row order, and the first law whose path
+    raises raises: a taken row whose sum leaves the float range sends every
+    law through its path.
+    """
+    if not takes.all():
+        values, layers = values[takes], layers[takes]
+    try:
+        # on numpy 1.24 the layers at n past the int64 range are an object
+        # array of floats, and so are the products
+        sums = iter(_row_sums((values * layers).astype(float, copy=False)).tolist())
+    except OverflowError:
+        takes = np.zeros_like(takes)
+    return [next(sums) if take else per_law(i) for i, take in enumerate(takes.tolist())]
+
+
+def _maxvar_portfolios(portfolios, probs: np.ndarray, nc) -> list:
+    """``[maxvar_choquet(portfolio_law(t, p), nc) for t, p in portfolios]``,
+    bit for bit and error for error, with one row per portfolio, where
+    ``probs`` is a table's checked scenario probabilities.
+
+    Each row's values are formed by ``dist._portfolio_values``, as
+    ``portfolio_law`` forms them, and all rows are sorted by one row-wise
+    quicksort argsort. Each row's probabilities are ``probs`` permuted the
+    same way and divided by the correctly rounded total of ``probs``: the
+    sum of a permutation is the same sum, so that is the total that
+    ``portfolio_law``'s merge divides by, and one check of ``probs`` so
+    divided is its check of every row. Then one cumulative pass, one layers
+    pass and one certified row-sum pass (:func:`_maxvar_rows`). A portfolio
+    goes through the per-law path when its table's scenario probabilities
+    are not ``probs`` (positive floats, so equal values are equal bits) or
+    it names an unknown column, when its values are not finite, tie or span
+    more than the float range, or when the probability check fails.
+    """
+    cc = _copy_count(nc)
+    combos = np.zeros((len(portfolios), len(probs)))
+    takes = np.zeros(len(portfolios), dtype=bool)
+    for i, (t, p) in enumerate(portfolios):
+        if np.array_equal(t.scenario_probs, probs):
+            try:
+                takes[i] = np.isfinite(_portfolio_values(t, p, combos[i])).all()
+            except RiskError:  # an unknown column, raised again by its path
+                pass
+    combos[~takes] = 0.0
+    perm = combos.argsort(axis=1, kind="quicksort")
+    values = np.take_along_axis(combos, perm, axis=1)
+    with np.errstate(over="ignore"):  # a span past the float range is inf
+        takes &= values[:, -1] - values[:, 0] < math.inf
+    takes &= (values[:, 1:] != values[:, :-1]).all(axis=1)
+    scaled = probs / _sum(probs)
+    if not ((scaled > 0.0).all() and abs(_sum(scaled) - 1.0) <= PROB_SUM_TOL):
+        takes[:] = False
+    layers = cc.layers(_cumulative(scaled[perm]))
+    return _maxvar_rows(
+        values, layers, takes, lambda i: maxvar_choquet(portfolio_law(*portfolios[i]), cc)
+    )
+
+
+def _maxvar_law_rows(d: EmpiricalDistribution, nc, maps) -> list:
+    """``maxvar_choquet`` of ``d`` at n, of ``affine(d, scale, shift)`` at n
+    for each (scale, shift) of ``maps``, and of ``d`` at n + 1, in that
+    order, bit for bit and error for error, with one row per value on d's
+    atoms.
+
+    The rows at n take d's layers from its slot; the layers at n + 1 are
+    formed without writing the slot, which keeps n's for the routes asked
+    next. An image's values are ``affine``'s, and its probabilities, so its
+    layers, are d's when ``affine`` kept every atom in order: scale > 0 and
+    as many atoms as d. An image that merges atoms, reverses them or fails
+    goes through its per-law path, as does d at n + 1 past the copy count's
+    range. The sums are :func:`_maxvar_rows`'.
+    """
+    cc = _copy_count(nc)
+    k = len(maps) + 2
+    values, layers = np.zeros((k, d.atom_count)), np.zeros((k, d.atom_count))
+    takes = np.zeros(k, dtype=bool)
+    values[0], layers[0], takes[0] = d.values, d._layers(cc), True
+    for i, (scale, shift) in enumerate(maps, 1):
+        try:
+            image = affine(d, scale, shift)
+        except RiskError:  # raised again by its path
+            continue
+        takes[i] = scale > 0.0 and image.atom_count == d.atom_count
+        if takes[i]:
+            values[i], layers[i] = image.values, layers[0]
+    try:
+        values[-1], layers[-1], takes[-1] = d.values, CopyCount(cc.n + 1).layers(d.cumulative), True
+    except OutOfRange:  # raised again by its path
+        pass
+
+    def per_law(i):
+        if i == 0:
+            return maxvar_choquet(d, cc)
+        if i == k - 1:
+            return maxvar_choquet(d, cc.n + 1)
+        return maxvar_choquet(affine(d, *maps[i - 1]), cc)
+
+    return _maxvar_rows(values, layers, takes, per_law)
 
 
 def maxvar_mixture_exact(d: EmpiricalDistribution, nc) -> float:

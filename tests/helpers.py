@@ -430,7 +430,8 @@ def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> E
         if not hi > lo:
             raise InfeasibleFamily("segment bounds must be increasing")
         for a in (lo, hi):
-            scaled = flat * (1.0 - a) + tail
+            with np.errstate(over="ignore"):
+                scaled = flat * (1.0 - a) + tail
             if np.any(scaled < -tol) or np.any(scaled > 1.0 + tol):
                 raise InfeasibleFamily(f"segment [{lo}, {hi}) breaks its bound at {a}")
         if abs(math.fsum(flat * d.probs) - 1.0) > tol:
@@ -474,13 +475,22 @@ def random_feasible_family_per_segment(
     return CvarFeasibleFamily.from_constant_densities(bounds, densities)
 
 
+def _exact_mean(terms: np.ndarray) -> float:
+    # the sum of finite terms correctly rounded, inf when it rounds past the
+    # float range (only its distance from 0 or 1 is read)
+    exact = sum(Fraction(t) for t in terms.tolist())
+    return float(exact) if abs(exact) < 2**1024 - 2**970 else math.inf
+
+
 def validate_family_per_segment(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
     """Frozen per-segment form of ``envelope._validate_family``, which must
     raise the same type of error with the same message: each segment checked
     in turn, its entries for finiteness, its bounds, then the density at its
     lo and at its hi, then its mean, then its tail's mean unless the tail is
-    all zero. Sums use ``math.fsum``, which the library's exact sums match
-    bit for bit, errors included."""
+    all zero. A mean is the exact rational sum of the products, rounded
+    once: ``math.fsum``'s result where fsum returns one, and where its
+    partial sums overflow, still the exact sum's rounding, or inf past the
+    float range."""
     tol = 1e-12
     shape = (len(fam.bounds) - 1, d.atom_count)
     if np.shape(fam.flat) != shape or np.shape(fam.tail) != shape:
@@ -500,14 +510,15 @@ def validate_family_per_segment(d: EmpiricalDistribution, fam: CvarFeasibleFamil
         if not hi > lo:
             raise InfeasibleFamily("segment bounds must be increasing")
         for a in (lo, hi):
-            scaled = flat * (1.0 - a) + tail
+            with np.errstate(over="ignore"):
+                scaled = flat * (1.0 - a) + tail
             if np.any(scaled < -tol):
                 raise InfeasibleFamily(f"segment [{lo}, {hi}) density goes negative at level {a}")
             if np.any(scaled > 1.0 + tol):
                 raise InfeasibleFamily(f"segment [{lo}, {hi}) exceeds the CVaR bound at level {a}")
-        if abs(math.fsum((flat * d.probs).tolist()) - 1.0) > tol:
+        if abs(_exact_mean(flat * d.probs) - 1.0) > tol:
             raise InfeasibleFamily(f"segment [{lo}, {hi}) mean is not 1")
-        if tail.any() and abs(math.fsum((tail * d.probs).tolist())) > tol:
+        if tail.any() and abs(_exact_mean(tail * d.probs)) > tol:
             raise InfeasibleFamily(f"segment [{lo}, {hi}) tail component has nonzero mean")
     if fam.bounds[-1] != 1.0:
         raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")

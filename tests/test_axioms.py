@@ -302,6 +302,20 @@ def count_calls(monkeypatch, names):
     return counts
 
 
+def count_batches(monkeypatch):
+    """Record each call of the row-batched evaluator as (rows, rows it sums
+    in its one pass)."""
+    calls = []
+    original = measures._maxvar_rows
+
+    def counted(values, layers, takes, per_law):
+        calls.append((len(takes), int(takes.sum())))
+        return original(values, layers, takes, per_law)
+
+    monkeypatch.setattr(measures, "_maxvar_rows", counted)
+    return calls
+
+
 class TestSuiteSharing:
     """run_suite evaluates each law and route value once per trial and hands
     it to every check that reads it; its report is the per-check loop's,
@@ -322,18 +336,49 @@ class TestSuiteSharing:
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_one_evaluation_per_law_and_route_value(self, monkeypatch, seed):
-        # 13 distinct (law, n) values: the constant, X+Y, X, Y, the monotone
-        # and near tables' Y, the three mixes, d, lam d, d + c at n and d at
-        # n + 1; the 8 laws are the portfolios among them; one extremal
-        # density, and core_check on it and on the random family's density
+        # 13 distinct (law, n) values: the constant, checked on its own, and
+        # two row batches: X, Y, X+Y, the monotone and near tables' Y and the
+        # three mixes, then d, lam d, d + c at n and d at n + 1; no portfolio
+        # law is built. One extremal density, and core_check on it and on the
+        # random family's density
         assert first_trial_law(seed).atom_count >= 2
         names = ("maxvar_choquet", "portfolio_law", "extremal_density", "core_check")
         counts = count_calls(monkeypatch, names)
+        batches = count_batches(monkeypatch)
         run_suite(seed, 1)
         # equal, not just at most: a counter that never fires reads 0
         assert counts == {
-            "maxvar_choquet": 13,
-            "portfolio_law": 8,
+            "maxvar_choquet": 1,
+            "portfolio_law": 0,
             "extremal_density": 1,
             "core_check": 2,
         }
+        assert batches == [(8, 8), (4, 4)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_only_tied_rows_take_the_per_law_path(self, monkeypatch, seed):
+        # the pair's x repeats its first entry, so the law of X and of any
+        # portfolio whose values tie merges atoms: exactly those take their
+        # per-law path, and the report is still the per-check loop's
+        def tied_pair(gen):
+            pair = random_paired(gen)
+            rows = pair.rows.copy()
+            rows[-1, 0] = rows[0, 0]
+            return ScenarioTable(pair.columns, rows, pair.probs)
+
+        random_paired = axioms.random_paired
+        monkeypatch.setattr(axioms, "random_paired", tied_pair)
+        want = run_suite_per_check(seed, 1).to_json()
+        portfolios = []
+        batch = axioms._maxvar_portfolios
+        monkeypatch.setattr(
+            axioms, "_maxvar_portfolios", lambda ps, *args: portfolios.extend(ps) or batch(ps, *args)
+        )
+        counts = count_calls(monkeypatch, ("maxvar_choquet", "portfolio_law"))
+        batches = count_batches(monkeypatch)
+        assert run_suite(seed, 1).to_json() == want
+        # portfolio_law as this module bound it, uncounted
+        tied = sum(portfolio_law(t, p).atom_count < len(t.rows) for t, p in portfolios)
+        assert len(portfolios) == 8 and tied >= 1
+        assert counts == {"maxvar_choquet": 1 + tied, "portfolio_law": tied}
+        assert batches == [(8, 8 - tied), (4, 4)]

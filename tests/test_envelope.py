@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -15,6 +16,7 @@ from maxvar import (
     CvarFeasibleFamily,
     DimensionMismatch,
     DiscreteMixtureSpec,
+    EmpiricalDistribution,
     EnvelopeDensity,
     InfeasibleFamily,
     InfeasiblePart,
@@ -210,6 +212,20 @@ class TestCoreCheck:
             assert members == tuple(d.values[::-1][: j + 1].tolist())
 
 
+def mean_past_the_range():
+    """A law whose probabilities sum to just above 1, and a family whose
+    first segment, [0, 1e-300), holds the largest float in flat and its
+    negation in tail: 1 - 1e-300 rounds to 1, so Q_a(1-a) is 0 at both
+    ends and the bounds hold, and the mean's fsum overflows."""
+    d = EmpiricalDistribution(np.array([0.0, 1.0]), np.array([0.7114974269921934, 0.2885025730078067]))
+    top = sys.float_info.max
+    fam = CvarFeasibleFamily(
+        np.array([0.0, 1e-300, 1.0]), np.array([[top, top], [1.0, 1.0]]),
+        np.array([[-top, -top], [0.0, 0.0]]),
+    )
+    return d, fam
+
+
 class TestMixtureDensity:
     def test_all_ones_family(self):
         d = d4()
@@ -296,6 +312,16 @@ class TestMixtureDensity:
                     InfeasibleFamily, match=re.escape("segment [0.5, 1.0) has an entry that is not finite")
                 ):
                     mixture_density(d4(), 2, fam)
+
+    def test_mean_past_the_float_range_rejected_without_a_warning(self):
+        d, fam = mean_past_the_range()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleFamily, match=re.escape("segment [0.0, 1e-300) mean is not 1")):
+                mixture_density(d, 2, fam)
+            assert _raised(validate_family_per_segment, d, fam) == (
+                InfeasibleFamily, "segment [0.0, 1e-300) mean is not 1"
+            )
 
     def test_partition_gap_rejected(self):
         # ends short of 1, starts above 0, decreases, repeats a bound
@@ -449,8 +475,11 @@ def flawed_families(draw):
     CVaR family, whose tails are not zero. The flaw sits at a random segment
     and atom: bounds that repeat, decrease or are nan; the density pushed
     below 0 or above its bound at the segment's lo or its hi only; a mean off
-    1; a tail shifted off mean 0; a nan; or +inf and -inf entries whose sums
-    make ``math.fsum`` raise."""
+    1; a tail shifted off mean 0; a nan; +inf and -inf entries whose sums
+    make ``math.fsum`` raise; or finite entries near the float range, whose
+    sums or bound checks may overflow, at one entry or along a first
+    segment squeezed to [0, 1e-300), where Q_a(1-a) is the same at both
+    ends."""
     d = draw(st.one_of(small_laws(max_atoms=1), small_laws(max_atoms=30, min_weight_exp=-20.0)))
     if draw(st.booleans()):
         gen = SeededSampler(draw(st.integers(0, 2**32)), draw(st.integers(0, 64))).generator()
@@ -461,7 +490,8 @@ def flawed_families(draw):
     i = draw(st.integers(0, len(bounds) - 2))
     j = draw(st.integers(0, d.atom_count - 1))
     lo, hi = float(bounds[i]), float(bounds[i + 1])
-    kind = draw(st.sampled_from([None, "order", "negative", "over", "mean", "tail", "nan", "inf"]))
+    kinds = [None, "order", "negative", "over", "mean", "tail", "nan", "inf", "huge"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "order":
         bounds[i + 1] = draw(st.sampled_from([lo, lo - 0.01, math.nan]))
     elif kind in ("negative", "over"):
@@ -483,6 +513,16 @@ def flawed_families(draw):
         flat[i, j], tail[i, j] = math.inf, -math.inf
         k = draw(st.integers(0, d.atom_count - 1))
         flat[i, k], tail[i, k] = -math.inf, math.inf
+    elif kind == "huge":
+        big = draw(st.sampled_from([1e307, 2.0**1023, sys.float_info.max, -sys.float_info.max]))
+        if draw(st.booleans()):
+            # the first segment squeezed to [0, 1e-300), where 1 - lo and
+            # 1 - hi round together, and its whole row near the range with
+            # Q_a(1-a) = 0: the bounds hold, and the mean's sum may overflow
+            bounds[1] = 1e-300
+            flat[0], tail[0] = big, -big
+        else:  # one entry, whose tail may push Q_a(1-a) past the range too
+            flat[i, j], tail[i, j] = big, draw(st.sampled_from([-big, big, 0.0]))
     chunk = draw(st.sampled_from([1, 2, 3 * d.atom_count, 7 * d.atom_count, envelope._SWEEP_CHUNK]))
     return d, CvarFeasibleFamily(bounds, flat, tail), chunk
 
@@ -520,6 +560,8 @@ class TestFamilyRowPass:
 
     @tier1_budget(300)
     @given(flawed_families())
+    @example((*mean_past_the_range(), envelope._SWEEP_CHUNK))
+    @example((*mean_past_the_range(), 2))
     def test_validation_matches_per_segment_reference(self, case):
         d, fam, chunk = case
         with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):

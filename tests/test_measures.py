@@ -13,9 +13,11 @@ from maxvar import (
     EmpiricalDistribution,
     NonFiniteValue,
     OutOfRange,
+    PortfolioSpec,
     QuadratureRule,
     RiskError,
     RiskLevel,
+    ScenarioTable,
     SeededSampler,
     abs_expectation,
     affine,
@@ -32,13 +34,14 @@ from maxvar import (
     maxvar_mixture_quad,
     maxvar_spectral,
     minvar,
+    portfolio_law,
     quadrature_breakpoints,
     suggest_rule,
     var,
     weight,
     weight_cdf,
 )
-from maxvar.dist import _left_quantile_index, _row_sums
+from maxvar.dist import _cumulative, _left_quantile_index, _row_sums
 from maxvar.measures import (
     _FOLD_MAX_N,
     _MC_CHUNK,
@@ -356,6 +359,32 @@ class TestCopyCountForms:
         out = np.full(trials, np.nan)
         assert CopyCount(n).run_maxima(u, out=out) is out
         assert_same_bits(out, want)
+
+@st.composite
+def cumulative_rows(draw):
+    # 1-4 rows of atom probabilities of one length, spread over 300 decades
+    rows, m = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    exps = draw(st.lists(st.floats(-300.0, 0.0), min_size=rows * m, max_size=rows * m))
+    weights = 10.0 ** np.array(exps).reshape(rows, m)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestRowForms:
+    """The cumulative rule and the layers act along the last axis: each row
+    of a matrix has the bits of the 1-d call on that row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cumulative_rows(), st.one_of(st.integers(1, 64), huge_copies))
+    def test_rows_match_one_dimensional_calls(self, probs, n):
+        cum, cc = _cumulative(probs), CopyCount(n)
+        layers = cc.layers(cum)
+        assert layers.shape == cum.shape == probs.shape
+        for row, p in enumerate(probs):
+            assert_same_bits(cum[row], _cumulative(p))
+            one = cc.layers(cum[row])
+            assert layers.dtype == one.dtype  # an object array at n = 2^128 on numpy 1.24
+            assert np.asarray(layers[row], dtype=float).tobytes() == np.asarray(one, dtype=float).tobytes()
+
 
 def route_outcome(route, *args):
     # the result's type and bits, or the type and message of its typed error
@@ -783,3 +812,133 @@ class TestMinvar:
         got = minvar(d, n)
         assert got == 0.0
         assert got.hex() == minvar_on_mirrored_law(d, n).hex()
+
+
+def batch_outcome(evaluate):
+    # each value's type and bits, or the type and message of the first error
+    try:
+        values = evaluate()
+    except (RiskError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(type(v), np.float64(v).tobytes()) for v in values]
+
+
+# Magnitudes of the batch tables and laws: everyday values, and values near
+# the float range, whose combinations overflow and whose spans leave it.
+BATCH_SCALES = [1.0, 100.0, 1e307, 8e307, 1.7e308]
+BATCH_SPECS = [
+    PortfolioSpec({"x": 1.0}),
+    PortfolioSpec({"y": 1.0}),
+    PortfolioSpec({"x": 1.0, "y": 1.0}),
+    PortfolioSpec({"y": 0.25, "x": 0.75}),
+    PortfolioSpec({"x": -2.5, "y": 0.0}),
+    PortfolioSpec({"x": 1e-300}),
+]
+
+
+@st.composite
+def batch_portfolios(draw):
+    """Portfolios of up to 10 (table, spec) pairs on tables of 1-300
+    scenarios, and the probability vector of the first table. Values come
+    from a seeded draw at one magnitude, with ties forced inside columns
+    (runs of 0.0 and -0.0 among them) about half the time; probabilities are
+    equal or spread over up to 300 decades. A second table shares the first
+    one's probabilities, copied, and a third, on other probabilities, must
+    take the per-law path, as must a spec that names an unknown column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 300))
+    scale = draw(st.sampled_from(BATCH_SCALES))
+    tie_share = draw(st.sampled_from([0.0, 0.0, 0.2, 1.0]))
+    decades = draw(st.sampled_from([None, 2.0, 300.0]))
+
+    def columns():
+        cols = rng.uniform(-1.0, 1.0, size=(k, 2)) * scale
+        tied = rng.random((k, 2)) < tie_share
+        pool = np.array([0.0, -0.0, 0.5, -1.0]) * scale
+        cols[tied] = rng.choice(pool, size=int(tied.sum()))
+        return cols
+
+    probs = None
+    if decades is not None:
+        weights = 10.0 ** rng.uniform(-decades, 0.0, size=k)
+        probs = weights / math.fsum(weights.tolist())
+    first = ScenarioTable(("x", "y"), columns(), probs)
+    shared = ScenarioTable(("x", "y"), columns(), first.scenario_probs)
+    other = ScenarioTable(("x", "y"), columns(), rng.dirichlet(np.ones(k)) if k > 1 else None)
+    tables = draw(st.lists(st.sampled_from([first, first, shared, other]), min_size=1, max_size=10))
+    specs = draw(st.lists(st.sampled_from(BATCH_SPECS), min_size=len(tables), max_size=len(tables)))
+    if draw(st.integers(0, 9)) == 0:  # a column the tables lack: UnknownColumn
+        specs[draw(st.integers(0, len(specs) - 1))] = PortfolioSpec({"z": 1.0})
+    return list(zip(tables, specs)), first.scenario_probs
+
+
+@st.composite
+def batch_laws(draw):
+    """A law of 1-300 atoms at one magnitude, and up to three affine maps:
+    scales and shifts that keep every atom, merge neighbours (a scale of
+    1e-300, a shift of 1e20), reverse the atoms, collapse them, or overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    m = draw(st.integers(1, 300))
+    scale = draw(st.sampled_from(BATCH_SCALES[:3]))
+    values = rng.uniform(-1.0, 1.0, size=m) * scale
+    if draw(st.booleans()):
+        values[: m // 2] = rng.choice([0.0, -0.0], size=m // 2)
+    weights = 10.0 ** rng.uniform(-draw(st.sampled_from([0.5, 20.0])), 0.0, size=m)
+    d = from_samples(np.column_stack([values, weights]))
+    maps = draw(st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.01, 4.0), st.sampled_from([1.0, 1e-300, 0.0, -1.0, 1e300])),
+            st.one_of(st.floats(-50.0, 50.0), st.sampled_from([0.0, -0.0, 1e20, 1.7e308])),
+        ),
+        max_size=3,
+    ))
+    return d, maps
+
+
+BATCH_TABLE = ScenarioTable(("x", "y"), [[-1.7e308, 0.0], [1.7e308, -0.0], [0.5, 1.0]], [0.25, 0.25, 0.5])
+BATCH_TABLE_PORTFOLIOS = [(BATCH_TABLE, spec) for spec in BATCH_SPECS[2::-1]]
+
+
+class TestRowBatch:
+    """run_suite's two row-batched evaluations give the per-law path's
+    values bit for bit, and its first error, type and message."""
+
+    @tier1_budget(60)
+    @given(batch_portfolios(), batch_laws(), st.sampled_from([1, 2, 3, 10, 64]))
+    # X+Y and X span more than the float range, and Y's values tie at 0.0
+    # and -0.0; the image at scale 1e-300 merges both atoms, the other is taken
+    @example(
+        (BATCH_TABLE_PORTFOLIOS, BATCH_TABLE.scenario_probs),
+        (from_samples([(1.0, 1.0), (2.0, 1.0)]), [(1e-300, 0.0), (2.0, 1.0)]),
+        2,
+    )
+    def test_matches_per_law(self, portfolios, law, n):
+        portfolios, probs = portfolios
+        got = batch_outcome(lambda: measures._maxvar_portfolios(portfolios, probs, n))
+        want = batch_outcome(lambda: [maxvar_choquet(portfolio_law(t, p), n) for t, p in portfolios])
+        assert got == want
+        d, maps = law
+        got = batch_outcome(lambda: measures._maxvar_law_rows(d, n, maps))
+        # the layers at n stay in d's slot for the routes asked next
+        assert d._layer_slot[0] == n
+        want = batch_outcome(lambda: [
+            maxvar_choquet(d, n),
+            *(maxvar_choquet(affine(d, scale, shift), n) for scale, shift in maps),
+            maxvar_choquet(d, n + 1),
+        ])
+        assert got == want
+
+    def test_a_row_sum_past_the_float_range_sends_every_law_per_law(self, monkeypatch):
+        # the row pass raises as fsum does on a row past the float range:
+        # every law then takes its path, which returns or raises in order
+        def past_the_range(x):
+            raise OverflowError("intermediate overflow in fsum")
+
+        t = ScenarioTable(("x", "y"), [[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]], [0.2, 0.3, 0.5])
+        portfolios = [(t, PortfolioSpec({"x": 1.0})), (t, PortfolioSpec({"x": 1.0, "y": 1.0}))]
+        d = from_samples([(1.0, 1.0), (2.0, 3.0)])
+        want = [maxvar_choquet(portfolio_law(t, p), 3) for t, p in portfolios]
+        want_d = [maxvar_choquet(d, 3), maxvar_choquet(affine(d, 2.0, 1.0), 3), maxvar_choquet(d, 4)]
+        monkeypatch.setattr(measures, "_row_sums", past_the_range)
+        assert measures._maxvar_portfolios(portfolios, t.scenario_probs, 3) == want
+        assert measures._maxvar_law_rows(d, 3, [(2.0, 1.0)]) == want_d
