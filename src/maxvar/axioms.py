@@ -444,7 +444,7 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
         x, y = pair.column("x"), pair.column("y")
         mono = _xy_table(x, x + np.abs(y) * 0.1, pair.probs)
         if d.atom_count < 2:  # draws a law of two or more atoms before the near table's draws
-            averse = check_averseness(random_distribution(gen, 50, min_atoms=2), cc)
+            consider(check_averseness(random_distribution(gen, 50, min_atoms=2), cc))
         near = _xy_table(x, x + gen.uniform(-0.5, 0.5, size=len(x)), pair.probs)
         portfolios = [(pair, X), (pair, Y), (pair, X_PLUS_Y), (mono, Y), (near, Y)]
         portfolios += [(pair, mix) for _, mix in MIXES]
@@ -458,8 +458,7 @@ def run_suite(seed: int, trials: int) -> VerificationReport:
         consider(_homogeneity_record(d, cc, lam, rd, scaled))
         consider(_translation_record(d, cc, c, rd, shifted))
         if d.atom_count >= 2:
-            averse = _averseness_record(d, cc, rd, mean)
-        consider(averse)
+            consider(_averseness_record(d, cc, rd, mean))
         consider(_l2_continuity_record(near, cc, rx, near_y))
         consider(_convexity_record(pair, cc, rx, ry, mixed))
         consider(_abs_bound_record(d, cc, rd))
