@@ -29,9 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from .dist import (
-    PROB_SUM_TOL,
     EmpiricalDistribution,
     SeededSampler,
+    _check_probs,
     _cumulative,
     _integer,
     _inverse_cdf_values,
@@ -369,9 +369,10 @@ def _maxvar_portfolios(portfolios, probs: np.ndarray, nc) -> list:
     quicksort argsort. Each row's probabilities are ``probs`` permuted the
     same way and divided by the correctly rounded total of ``probs``: the
     sum of a permutation is the same sum, so that is the total that
-    ``portfolio_law``'s merge divides by, and one check of ``probs`` so
-    divided is its check of every row. Then one cumulative pass, one layers
-    pass and one certified row-sum pass (:func:`_maxvar_rows`). A portfolio
+    ``portfolio_law``'s merge divides by, and one ``dist._check_probs`` of
+    ``probs`` so divided is its check of every row. Then one cumulative
+    pass, one layers pass and one certified row-sum pass
+    (:func:`_maxvar_rows`). A portfolio
     goes through the per-law path when its table's scenario probabilities
     are not ``probs`` (positive floats, so equal values are equal bits) or
     it names an unknown column, when its values are not finite, tie or span
@@ -393,7 +394,9 @@ def _maxvar_portfolios(portfolios, probs: np.ndarray, nc) -> list:
         takes &= values[:, -1] - values[:, 0] < math.inf
     takes &= (values[:, 1:] != values[:, :-1]).all(axis=1)
     scaled = probs / _sum(probs)
-    if not ((scaled > 0.0).all() and abs(_sum(scaled) - 1.0) <= PROB_SUM_TOL):
+    try:
+        _check_probs(scaled)
+    except RiskError:  # say a probability that underflows to 0: raised again by each path
         takes[:] = False
     layers = cc.layers(_cumulative(scaled[perm]))
     return _maxvar_rows(
