@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -162,14 +161,18 @@ def _validate_family(d: EmpiricalDistribution, fam: CvarFeasibleFamily) -> None:
         raise InfeasibleFamily(f"segments must end at 1, last ends at {float(fam.bounds[-1])!r}")
 
 
+# Every finite float is an integer multiple of 2**-1074.
+_ULP_SCALE = 1 << 1074
+
+
 def _row_means(terms: np.ndarray) -> np.ndarray:
     """The exact sum of each row of the finite 2-d array ``terms``, rounded
     once: ``_row_sums``, whose rows have ``math.fsum``'s bits. Should a
     row's fsum raise on partial sums past the float range, every row is
     summed again on its own, and each row whose fsum raises takes its exact
-    sum in rational arithmetic, rounded, or +-inf past the float range.
-    Where fsum returns, the exact sum rounds to its result, so every row
-    keeps fsum's bits."""
+    sum as an integer count of 2**-1074, divided back with one correct
+    rounding, or +-inf past the float range. Where fsum returns, the exact
+    sum rounds to its result, so every row keeps fsum's bits."""
     try:
         return _row_sums(terms)
     except OverflowError:
@@ -179,11 +182,11 @@ def _row_means(terms: np.ndarray) -> np.ndarray:
         try:
             sums.append(math.fsum(row))
         except OverflowError:
-            exact = sum(map(Fraction, row))
+            units = sum(num * (_ULP_SCALE // den) for num, den in map(float.as_integer_ratio, row))
             try:
-                sums.append(float(exact))
+                sums.append(units / _ULP_SCALE)  # int / int rounds correctly
             except OverflowError:
-                sums.append(math.inf if exact > 0 else -math.inf)
+                sums.append(math.inf if units > 0 else -math.inf)
     return np.array(sums)
 
 

@@ -430,8 +430,7 @@ def mixture_density_per_segment(d: EmpiricalDistribution, n: int, segments) -> E
         if not hi > lo:
             raise InfeasibleFamily("segment bounds must be increasing")
         for a in (lo, hi):
-            with np.errstate(over="ignore"):
-                scaled = flat * (1.0 - a) + tail
+            scaled = flat * (1.0 - a) + tail
             if np.any(scaled < -tol) or np.any(scaled > 1.0 + tol):
                 raise InfeasibleFamily(f"segment [{lo}, {hi}) breaks its bound at {a}")
         if abs(math.fsum(flat * d.probs) - 1.0) > tol:

@@ -360,6 +360,7 @@ class TestCopyCountForms:
         assert CopyCount(n).run_maxima(u, out=out) is out
         assert_same_bits(out, want)
 
+
 @st.composite
 def cumulative_rows(draw):
     # 1-4 rows of atom probabilities of one length, spread over 300 decades
