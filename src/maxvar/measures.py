@@ -372,11 +372,11 @@ def _maxvar_portfolios(portfolios, probs: np.ndarray, nc) -> list:
     ``portfolio_law``'s merge divides by, and one ``dist._check_probs`` of
     ``probs`` so divided is its check of every row. Then one cumulative
     pass, one layers pass and one certified row-sum pass
-    (:func:`_maxvar_rows`). A portfolio
-    goes through the per-law path when its table's scenario probabilities
-    are not ``probs`` (positive floats, so equal values are equal bits) or
-    it names an unknown column, when its values are not finite, tie or span
-    more than the float range, or when the probability check fails.
+    (:func:`_maxvar_rows`). A portfolio goes through the per-law path when
+    its table's scenario probabilities are not ``probs`` (positive floats,
+    so equal values are equal bits) or it names an unknown column, when its
+    values are not finite, tie or span more than the float range, or when
+    the probability check fails.
     """
     cc = _copy_count(nc)
     combos = np.zeros((len(portfolios), len(probs)))
