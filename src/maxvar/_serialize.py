@@ -22,9 +22,11 @@ def format_number(x: float | int) -> str:
 
 def format_rows(*columns) -> list[str]:
     """CSV data rows from equal-length float arrays, one row per index, each
-    number printed as :func:`format_number` prints a float."""
-    row = ",".join(["{:" + _FLOAT_SPEC + "}"] * len(columns)).format
-    return [row(*values) for values in zip(*(c.tolist() for c in columns))]
+    number printed as :func:`format_number` prints a float: ``%`` and
+    ``format`` render a float with one spec through the same conversion, and
+    ``%`` takes each row's tuple without a call."""
+    row = ",".join(["%" + _FLOAT_SPEC] * len(columns))
+    return [row % values for values in zip(*(c.tolist() for c in columns))]
 
 
 def render_json(doc) -> str:

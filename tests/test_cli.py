@@ -33,6 +33,7 @@ from maxvar import (
     quadrature_breakpoints,
 )
 import maxvar.cli
+from maxvar._serialize import format_number, format_rows
 from maxvar.cli import (
     PROB_COLUMN,
     emit_curve,
@@ -561,6 +562,24 @@ class TestRunQuery:
     def test_minvar_mc(self, capsys):
         doc = query(capsys, "minvar", *MC_OPTIONS)
         assert abs(doc["value"] - 1.875) <= 4 * doc["std_error"]
+
+
+# zeros of both signs, the smallest subnormal, a subnormal, the smallest
+# normal, the largest finite floats and integral floats up to 2**53 and past it
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    1.0, -3.0, 1e16, 2.0**53, 2.0**53 + 2.0, 1e22,
+)
+
+
+class TestFormatRows:
+    @tier1_budget(100)
+    @given(st.integers(1, 4), st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), max_size=40))
+    def test_matches_format_number_per_cell(self, width, cells):
+        columns = np.array(cells[: len(cells) - len(cells) % width]).reshape(-1, width).T
+        rows = zip(*(column.tolist() for column in columns))
+        assert format_rows(*columns) == [",".join(map(format_number, row)) for row in rows]
 
 
 class TestEmitters:

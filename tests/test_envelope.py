@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from maxvar import (
     CopyCount,
+    CoreCheckReport,
     CvarFeasibleFamily,
     DimensionMismatch,
     DiscreteMixtureSpec,
@@ -202,14 +206,18 @@ class TestCoreCheck:
         assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
 
     def test_extremal_sets_are_value_suffixes_at_size(self):
-        rng = np.random.default_rng(12)
-        d = from_samples(np.column_stack([rng.normal(size=2000), rng.uniform(0.5, 1.0, 2000)]))
+        d = law_of_2000_atoms()
         assert d.atom_count == 2000
         report = core_check(d, 4, extremal_density(d, 4))
         assert report.passed
         assert len(report.tight_sets) == 2000
         for j, members in enumerate(report.tight_sets):
             assert members == tuple(d.values[::-1][: j + 1].tolist())
+
+
+def law_of_2000_atoms():
+    rng = np.random.default_rng(12)
+    return from_samples(np.column_stack([rng.normal(size=2000), rng.uniform(0.5, 1.0, 2000)]))
 
 
 def mean_past_the_range():
@@ -816,6 +824,12 @@ EVEN5 = from_samples([(float(v), 1.0) for v in range(5)])
 SWEEP_DENSITIES = ("extremal", "increasing", "ties", "sorted-ties", "permuted", "off-mean", "ones")
 
 
+def sets_affordable(d, n, e):
+    # False where the tight sets alone would hold millions of references
+    violations, _, _ = upper_set_violations_full_length(d, n, e.q)
+    return np.count_nonzero(np.abs(violations) <= envelope._CORE_TOL) * d.atom_count <= 2_000_000
+
+
 @st.composite
 def sweep_cases(draw):
     """A chunk size; a law of 1-12 atoms or of chunk - 1, chunk, chunk + 1
@@ -864,9 +878,7 @@ class TestCoreCheckSweep:
     @example((2, EVEN5, 3, extremal_density(EVEN5, 3), True))
     def test_matches_full_length(self, case):
         chunk, d, n, e, collect = case
-        violations, _, _ = upper_set_violations_full_length(d, n, e.q)
-        if np.count_nonzero(np.abs(violations) <= envelope._CORE_TOL) * d.atom_count > 2_000_000:
-            collect = False  # the sets alone would hold millions of references
+        collect = collect and sets_affordable(d, n, e)
         with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
             got = core_check(d, n, e, collect_sets=collect)
         assert report_bits(got) == report_bits(core_check_full_length(d, n, e, collect))
@@ -906,3 +918,81 @@ class TestCoreCheckSweep:
         buffers = _SUM_CHUNK + 8 * envelope._SWEEP_CHUNK
         assert peaks[0] < 8 * (m + buffers)
         assert peaks[1] < 8 * (2 * m + buffers)
+
+
+# Each a report's first access, returning a report to compare bit for bit
+# with the reference: one built from what the access gave, or the report.
+FIRST_ACCESSES = {
+    "tight_sets": lambda report, ref: report if report.tight_sets == ref.tight_sets else None,
+    "eq": lambda report, ref: report if report == ref else None,
+    "hash": lambda report, ref: report if hash(report) == hash(ref) else None,
+    "repr": lambda report, ref: report if repr(report) == repr(ref) else None,
+    "replace": lambda report, ref: replace(replace(report, passed=not ref.passed), passed=ref.passed),
+    "asdict": lambda report, ref: CoreCheckReport(**asdict(report)),
+    "copy": lambda report, ref: copy.copy(report),
+    # a pickle holds the fields alone, as the constructed reference's does
+    "pickle": lambda report, ref: (
+        pickle.loads(pickle.dumps(report)) if pickle.dumps(report) == pickle.dumps(ref) else None
+    ),
+}
+BIG = from_samples([(float(v), 1.0 + v % 3) for v in range(envelope._SWEEP_CHUNK + 2)])
+BIG_INCREASING = np.arange(1.0, BIG.atom_count + 1.0)
+BIG_INCREASING /= math.fsum(BIG_INCREASING * BIG.probs)
+
+
+class TestDeferredTightSets:
+    """core_check builds its tight sets on first read: whatever reads the
+    report first, it equals the eager full-length reference in every bit."""
+
+    @tier1_budget(60)
+    @given(sweep_cases(), st.sampled_from(sorted(FIRST_ACCESSES)))
+    # above one sweep chunk: strictly increasing q (the reversed index) and
+    # tied q (the argsort path), each with a few tight sets
+    @example((envelope._SWEEP_CHUNK, BIG, 3, EnvelopeDensity(np.ones(BIG.atom_count)), True), "hash")
+    @example((envelope._SWEEP_CHUNK, BIG, 3, EnvelopeDensity(BIG_INCREASING), True), "pickle")
+    def test_first_access_matches_full_length(self, case, access):
+        chunk, d, n, e, collect = case
+        collect = collect and sets_affordable(d, n, e)
+        want = core_check_full_length(d, n, e, collect)
+        with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
+            report = core_check(d, n, e, collect_sets=collect)
+        got = FIRST_ACCESSES[access](report, want)
+        assert got is not None, access
+        assert report_bits(got) == report_bits(want)
+        assert report_bits(report) == report_bits(want)
+
+    def test_unread_sets_cost_no_memory(self):
+        # its 2000 tight sets, built eagerly, peaked at 15.9 MB
+        d = law_of_2000_atoms()
+        e = extremal_density(d, 4)
+        tracemalloc.start()
+        try:
+            assert core_check(d, 4, e).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_concurrent_first_reads(self):
+        d = law_of_2000_atoms()
+        e = extremal_density(d, 4)
+        want = core_check_full_length(d, 4, e).tight_sets
+        report = core_check(d, 4, e)
+        start = threading.Barrier(4)
+        got, errors = [None] * 4, []
+
+        def read(i):
+            try:
+                start.wait()
+                got[i] = report.tight_sets
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert all(sets == want for sets in got)
+        assert all(sets is report.tight_sets for sets in got)  # the one stored first
