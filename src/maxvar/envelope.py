@@ -18,7 +18,7 @@ Every weight integral uses the closed-form antiderivatives, no quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,25 +272,6 @@ def cvar_extremal_density(d: EmpiricalDistribution, a) -> EnvelopeDensity:
     return EnvelopeDensity(q)
 
 
-class _TightSets:
-    """The ``tight_sets`` field of a :class:`CoreCheckReport` that
-    :func:`core_check` made: built on first read and kept in the report's
-    ``__dict__``, which every later read finds first (a non-data descriptor).
-    A report made by the constructor, ``dataclasses.replace`` or a copy holds
-    its sets there from the start. The first read makes one tuple of the atom
-    values in entry order and each set a prefix of it. Concurrent first reads
-    may each build the sets; every one returns the tuple stored first, and the
-    state they build from is never removed."""
-
-    def __get__(self, report, owner=None):
-        if report is None:  # no class-level value: the field has no default
-            raise AttributeError("tight_sets")
-        values, ends = report.__dict__["_pending_sets"]
-        entered = tuple(values.tolist())
-        tight = tuple(entered[: j + 1] for j in ends)
-        return report.__dict__.setdefault("tight_sets", tight)
-
-
 @dataclass(frozen=True)
 class CoreCheckReport:
     """Outcome of the envelope membership test for one density.
@@ -300,35 +281,16 @@ class CoreCheckReport:
     deviation from equality over the same sets (zero up to rounding when the
     density is extremal, where every upper-level set is tight).
     ``tight_sets`` lists the sets where equality holds, smallest first, each
-    as its atom values in entry order (descending q, ties in ascending value).
-    A report from :func:`core_check` builds them on first read, so one that
-    is never read costs nothing; equality, hashing, ``repr``, ``replace``,
-    ``asdict``, copies and pickles all read them.
+    as its atom values in entry order (descending q, ties in ascending value),
+    when :func:`core_check` was asked for them; it is ``()`` otherwise.
     """
 
     max_violation: float
     mean_gap: float
     max_equality_gap: float
-    # not a default: the descriptor has no class-level value, so the field
-    # has none, and the constructor stores each report's sets over it
-    tight_sets: tuple[tuple[float, ...], ...] = _TightSets()
+    tight_sets: tuple[tuple[float, ...], ...]
     tolerance: float
     passed: bool
-
-    def _store(self, entered: np.ndarray | None, ends: list[int], **values) -> None:
-        # take every field but tight_sets, and what builds the sets on first
-        # read: the atom values in entry order and each tight set's end, or
-        # None for no sets
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-        if entered is None:
-            object.__setattr__(self, "tight_sets", ())
-        else:
-            object.__setattr__(self, "_pending_sets", (entered, ends))
-
-    def __getstate__(self) -> dict:
-        # the fields alone, as a constructed report holds them
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _strictly_increasing(q: np.ndarray) -> bool:
@@ -403,20 +365,18 @@ def core_check(
     d: EmpiricalDistribution,
     nc,
     e: EnvelopeDensity,
-    collect_sets: bool = True,
+    collect_sets: bool = False,
 ) -> CoreCheckReport:
     """Membership test against the distortion capacity h(P(.)).
 
     Verifies E(Q 1_A) <= h(P(A)) + 1e-9 on every upper-level set
     A = {Q >= threshold} (thresholds at distinct q values; tied atoms enter
-    together) and E(Q) = 1 +- 1e-9. Reports the largest signed violation and
-    the sets where equality holds within 1e-9, each a prefix of one tuple of
-    the atom values in entry order (descending q, ties in ascending value).
-    The call keeps only those values and each tight set's end, O(m); the
-    sets are built on the first read of ``tight_sets``, O(m^2) references to
-    m floats when all m sets are tight, as for the extremal density, so a
-    caller that reads only ``passed`` never pays for them. Pass
-    ``collect_sets=False`` for a report whose ``tight_sets`` is ``()``.
+    together) and E(Q) = 1 +- 1e-9, and reports the largest signed violation.
+    With ``collect_sets=True`` it also lists the sets where equality holds
+    within 1e-9, each a prefix of one tuple of the atom values in entry order
+    (descending q, ties in ascending value): O(m^2) references to m floats
+    when all m sets are tight, as for the extremal density. Otherwise
+    ``tight_sets`` is ``()``.
 
     One sweep visits the sets in entry order, ``_SWEEP_CHUNK`` atoms at a
     time. Each chunk's prefix sums of mass and charge continue from the
@@ -427,7 +387,7 @@ def core_check(
     without dust, an O(m) test finds the entry order to be the reversed
     index and nothing is sorted; any other q, ties included, takes a stable
     argsort of -q. Beyond that order, the mean's product ``q * probs`` and
-    the tight ends, a call allocates O(chunk) memory.
+    the tight sets when asked for, a call allocates O(chunk) memory.
     """
     cc = _copy_count(nc)
     q = e.q
@@ -436,21 +396,19 @@ def core_check(
             f"density has {len(q)} entries, distribution has {d.atom_count} atoms"
         )
     max_violation, max_gap, tight_ends, order = _upper_set_sweep(d, cc, q, collect_sets)
-    entered = None
+    tight = ()
     if collect_sets:  # set j is the first j + 1 atoms to enter: a prefix of one tuple
-        entered = d.values[::-1] if order is None else d.values[order]
+        entered = tuple((d.values[::-1] if order is None else d.values[order]).tolist())
+        tight = tuple(entered[: j + 1] for j in tight_ends)
     mean_gap = _sum(q * d.probs) - 1.0
-    report = object.__new__(CoreCheckReport)
-    report._store(
-        entered,
-        tight_ends,
+    return CoreCheckReport(
         max_violation=max_violation,
         mean_gap=mean_gap,
         max_equality_gap=max_gap,
+        tight_sets=tight,
         tolerance=_CORE_TOL,
         passed=max_violation <= _CORE_TOL and abs(mean_gap) <= _CORE_TOL,
     )
-    return report
 
 
 def mixture_density(
@@ -507,7 +465,7 @@ def discrete_envelope_check(
             raise DimensionMismatch(
                 f"part density has {len(q)} entries, distribution has {d.atom_count} atoms"
             )
-        if np.any(q < -_FEAS_TOL) or np.any(q > 1.0 / (1.0 - alpha) + _FEAS_TOL):
+        if not np.all((q >= -_FEAS_TOL) & (q <= 1.0 / (1.0 - alpha) + _FEAS_TOL)):
             raise InfeasiblePart(f"part at level {alpha} violates 0 <= Q <= 1/(1-alpha)")
         if abs(_sum(q * d.probs) - 1.0) > _FEAS_TOL:
             raise InfeasiblePart(f"part at level {alpha} does not have unit mean")
@@ -537,7 +495,7 @@ def _member_gap(
     NotInEnvelope on a failure, then maxvar_n(X) - E(XQ), where maxvar_n(X)
     is ``value`` when the caller has it and is computed only past the check
     otherwise."""
-    report = core_check(d, cc, e, collect_sets=False)
+    report = core_check(d, cc, e)
     if not report.passed:
         raise NotInEnvelope(
             f"density fails membership: max violation {report.max_violation!r}, "

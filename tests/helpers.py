@@ -590,7 +590,7 @@ def upper_set_violations_full_length(d: EmpiricalDistribution, n: int, q: np.nda
 
 
 def core_check_full_length(
-    d: EmpiricalDistribution, n: int, e: EnvelopeDensity, collect_sets: bool = True
+    d: EmpiricalDistribution, n: int, e: EnvelopeDensity, collect_sets: bool = False
 ) -> CoreCheckReport:
     """Reference that ``maxvar.core_check`` must match bit for bit in every
     field: the report read off :func:`upper_set_violations_full_length`.

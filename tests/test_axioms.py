@@ -321,6 +321,7 @@ class TestSuiteSharing:
     it to every check that reads it; its report is the per-check loop's,
     which evaluates afresh in each public check, byte for byte."""
 
+    @pytest.mark.fuzz
     @tier1_budget(40)
     @given(st.integers(0, 2**64 - 1), st.integers(1, 4))
     @example(ONE_ATOM_SEED, 1)

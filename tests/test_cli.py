@@ -309,6 +309,7 @@ def _assert_same_outcome(path):
         assert _load_outcome(load_csv, path) == _load_outcome(load_csv_per_cell, path)
 
 
+@pytest.mark.fuzz
 class TestLoadCsvMatchesPerCellParser:
     @pytest.mark.parametrize("data", [
         b"\xef\xbb\xbfa,b\n1,2\n", b"a,b\r\n1,2\r\n", b'"a",b\n1,2\n', b'a,b\n"1",2\n',
@@ -574,6 +575,7 @@ EDGE_FLOATS = (
 
 
 class TestFormatRows:
+    @pytest.mark.fuzz
     @tier1_budget(100)
     @given(st.integers(1, 4), st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), max_size=40))
     def test_matches_format_number_per_cell(self, width, cells):

@@ -194,6 +194,7 @@ class TestFromSamples:
         with pytest.raises(ValueError):
             d.values[0] = 99.0
 
+    @pytest.mark.fuzz
     @tier1_budget(300)
     @given(sample_rows())
     @example([(1.0, 1e-320), (2.0, 1e10)])
@@ -209,6 +210,7 @@ class TestFromSamples:
     def test_matches_validated_construction(self, rows):
         assert law_outcome(from_samples, rows) == law_outcome(from_samples_validated, rows)
 
+    @pytest.mark.fuzz
     @tier1_budget(200)
     @given(portfolio_cases())
     def test_portfolio_law_matches_pairs_reference(self, case):
@@ -449,6 +451,7 @@ def cumulative_levels(draw):
 class TestInverseCdfIndex:
     """The guide table against the left binary search it must equal."""
 
+    @pytest.mark.fuzz
     @tier1_budget(200)
     @given(cumulative_levels(), st.lists(st.floats(0.0, 1.0), max_size=20), st.randoms())
     @example(bottom_dust_law().cumulative, [], None)
@@ -613,6 +616,7 @@ def row_sum_inputs(draw):
     return x
 
 
+@pytest.mark.fuzz
 class TestExactSum:
     @tier1_budget(300)
     @given(sum_inputs())
@@ -698,6 +702,7 @@ def row_sums_outcome(x):
 
 
 class TestRowSums:
+    @pytest.mark.fuzz
     @tier1_budget(300)
     @given(row_sum_inputs())
     def test_bit_identical_to_fsum_per_row(self, x):

@@ -3,10 +3,9 @@ import math
 import pickle
 import re
 import sys
-import threading
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 
 from maxvar import (
     CopyCount,
-    CoreCheckReport,
     CvarFeasibleFamily,
     DimensionMismatch,
     DiscreteMixtureSpec,
@@ -123,7 +121,7 @@ class TestCvarExtremalDensity:
 class TestCoreCheck:
     def test_extremal_is_tight_everywhere(self):
         d = d4()
-        report = core_check(d, 2, extremal_density(d, 2))
+        report = core_check(d, 2, extremal_density(d, 2), collect_sets=True)
         assert report.passed
         assert report.max_violation <= 1e-12
         assert report.max_equality_gap <= 1e-12
@@ -137,7 +135,7 @@ class TestCoreCheck:
     def test_tight_single_set_value(self):
         # E(Q 1_{top atom}) = 1.75 * 0.25 = 0.4375 = h(0.25)
         d = d4()
-        report = core_check(d, 2, extremal_density(d, 2))
+        report = core_check(d, 2, extremal_density(d, 2), collect_sets=True)
         assert (4.0,) in report.tight_sets
 
     def test_uniform_density_passes(self):
@@ -161,7 +159,7 @@ class TestCoreCheck:
             core_check(d4(), 2, EnvelopeDensity(np.ones(3)))
 
     def test_ties_enter_together(self):
-        report = core_check(d4(), 2, EnvelopeDensity(np.ones(4)))
+        report = core_check(d4(), 2, EnvelopeDensity(np.ones(4)), collect_sets=True)
         assert report.tight_sets == ((1.0, 2.0, 3.0, 4.0),)
 
 
@@ -183,9 +181,9 @@ class TestCoreCheck:
             cvar_extremal_density(d, alpha),
             EnvelopeDensity(np.ones(d.atom_count)),
         ):
-            report = core_check(d, n, e)
+            report = core_check(d, n, e, collect_sets=True)
             assert_sets_in_entry_order(report, d, n, e)
-            assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
+            assert core_check(d, n, e) == replace(report, tight_sets=())
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(1, 64))
@@ -199,20 +197,42 @@ class TestCoreCheck:
         d = from_samples([(v, 1.0) for v in values])
         q = extremal_density(d, n).q
         e = EnvelopeDensity(q[data.draw(st.permutations(range(d.atom_count)))])
-        report = core_check(d, n, e)
+        report = core_check(d, n, e, collect_sets=True)
         assert report.passed
         assert len(report.tight_sets) == len(np.unique(q))
         assert_sets_in_entry_order(report, d, n, e)
-        assert core_check(d, n, e, collect_sets=False) == replace(report, tight_sets=())
+        assert core_check(d, n, e) == replace(report, tight_sets=())
 
     def test_extremal_sets_are_value_suffixes_at_size(self):
         d = law_of_2000_atoms()
         assert d.atom_count == 2000
-        report = core_check(d, 4, extremal_density(d, 4))
+        report = core_check(d, 4, extremal_density(d, 4), collect_sets=True)
         assert report.passed
         assert len(report.tight_sets) == 2000
         for j, members in enumerate(report.tight_sets):
             assert members == tuple(d.values[::-1][: j + 1].tolist())
+
+    def test_unread_sets_cost_no_memory(self):
+        # a default call lists no sets: the 2000 tight sets of this law,
+        # listed, peaked at 15.9 MB
+        d = law_of_2000_atoms()
+        e = extremal_density(d, 4)
+        tracemalloc.start()
+        try:
+            report = core_check(d, 4, e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.tight_sets == ()
+        assert peak < 1 << 20
+
+    def test_copies_equal_the_report(self):
+        d = d4()
+        report = core_check(d, 2, extremal_density(d, 2), collect_sets=True)
+        assert len(report.tight_sets) == 4
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert copy.copy(report) == report
+        assert replace(report) == report
 
 
 def law_of_2000_atoms():
@@ -550,6 +570,7 @@ class TestFamilyRowPass:
     """The random family is drawn, and a family validated, a block of
     segments at a time, against frozen per-segment forms in helpers."""
 
+    @pytest.mark.fuzz
     @tier1_budget(200)
     @given(
         st.one_of(small_laws(max_atoms=1), small_laws(40, -20.0), suite_laws),
@@ -566,6 +587,7 @@ class TestFamilyRowPass:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert ours.random() == theirs.random()  # the same draws were taken
 
+    @pytest.mark.fuzz
     @tier1_budget(300)
     @given(flawed_families())
     @example((*mean_past_the_range(), envelope._SWEEP_CHUNK))
@@ -665,6 +687,12 @@ class TestDiscreteMixture:
         with pytest.raises(InfeasiblePart):
             discrete_envelope_check(d, spec, [EnvelopeDensity(np.array([0, 0, 0, 4.0]))])
 
+    def test_nan_part_names_its_level(self):
+        # NaN fails every comparison, so the bound must be a condition it fails
+        spec = DiscreteMixtureSpec(((0.5, 0.0), (0.5, 0.5)))
+        with pytest.raises(InfeasiblePart, match="level 0.5 violates"):
+            discrete_envelope_check(d4(), spec, [np.ones(4), [math.nan, 1.0, 1.0, 1.0]])
+
     def test_spec_validation(self):
         with pytest.raises(OutOfRange):
             DiscreteMixtureSpec(((0.5, 0.0), (0.4, 0.5)))  # weights sum != 1
@@ -752,6 +780,7 @@ class TestLayerSlot:
     """The law's one-entry slot for the layers of F^n, which maxvar_choquet,
     maxvar_spectral, extremal_density and dual_gap read."""
 
+    @pytest.mark.fuzz
     @tier1_budget(200)
     @given(
         st.one_of(small_laws(40, -20.0), suite_laws, st.builds(skewed_law)),
@@ -870,6 +899,7 @@ def sweep_cases(draw):
 class TestCoreCheckSweep:
     """The chunked sweep against its frozen full-length form in helpers."""
 
+    @pytest.mark.fuzz
     @tier1_budget(200)
     @given(sweep_cases())
     # at two atoms a chunk: one tie through every chunk, and a strictly
@@ -918,81 +948,3 @@ class TestCoreCheckSweep:
         buffers = _SUM_CHUNK + 8 * envelope._SWEEP_CHUNK
         assert peaks[0] < 8 * (m + buffers)
         assert peaks[1] < 8 * (2 * m + buffers)
-
-
-# Each a report's first access, returning a report to compare bit for bit
-# with the reference: one built from what the access gave, or the report.
-FIRST_ACCESSES = {
-    "tight_sets": lambda report, ref: report if report.tight_sets == ref.tight_sets else None,
-    "eq": lambda report, ref: report if report == ref else None,
-    "hash": lambda report, ref: report if hash(report) == hash(ref) else None,
-    "repr": lambda report, ref: report if repr(report) == repr(ref) else None,
-    "replace": lambda report, ref: replace(replace(report, passed=not ref.passed), passed=ref.passed),
-    "asdict": lambda report, ref: CoreCheckReport(**asdict(report)),
-    "copy": lambda report, ref: copy.copy(report),
-    # a pickle holds the fields alone, as the constructed reference's does
-    "pickle": lambda report, ref: (
-        pickle.loads(pickle.dumps(report)) if pickle.dumps(report) == pickle.dumps(ref) else None
-    ),
-}
-BIG = from_samples([(float(v), 1.0 + v % 3) for v in range(envelope._SWEEP_CHUNK + 2)])
-BIG_INCREASING = np.arange(1.0, BIG.atom_count + 1.0)
-BIG_INCREASING /= math.fsum(BIG_INCREASING * BIG.probs)
-
-
-class TestDeferredTightSets:
-    """core_check builds its tight sets on first read: whatever reads the
-    report first, it equals the eager full-length reference in every bit."""
-
-    @tier1_budget(60)
-    @given(sweep_cases(), st.sampled_from(sorted(FIRST_ACCESSES)))
-    # above one sweep chunk: strictly increasing q (the reversed index) and
-    # tied q (the argsort path), each with a few tight sets
-    @example((envelope._SWEEP_CHUNK, BIG, 3, EnvelopeDensity(np.ones(BIG.atom_count)), True), "hash")
-    @example((envelope._SWEEP_CHUNK, BIG, 3, EnvelopeDensity(BIG_INCREASING), True), "pickle")
-    def test_first_access_matches_full_length(self, case, access):
-        chunk, d, n, e, collect = case
-        collect = collect and sets_affordable(d, n, e)
-        want = core_check_full_length(d, n, e, collect)
-        with mock.patch.object(envelope, "_SWEEP_CHUNK", chunk):
-            report = core_check(d, n, e, collect_sets=collect)
-        got = FIRST_ACCESSES[access](report, want)
-        assert got is not None, access
-        assert report_bits(got) == report_bits(want)
-        assert report_bits(report) == report_bits(want)
-
-    def test_unread_sets_cost_no_memory(self):
-        # its 2000 tight sets, built eagerly, peaked at 15.9 MB
-        d = law_of_2000_atoms()
-        e = extremal_density(d, 4)
-        tracemalloc.start()
-        try:
-            assert core_check(d, 4, e).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_concurrent_first_reads(self):
-        d = law_of_2000_atoms()
-        e = extremal_density(d, 4)
-        want = core_check_full_length(d, 4, e).tight_sets
-        report = core_check(d, 4, e)
-        start = threading.Barrier(4)
-        got, errors = [None] * 4, []
-
-        def read(i):
-            try:
-                start.wait()
-                got[i] = report.tight_sets
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert all(sets == want for sets in got)
-        assert all(sets is report.tight_sets for sets in got)  # the one stored first

@@ -17,6 +17,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,8 @@ from maxvar import (
 from maxvar.cli import main
 
 from conftest import tier1_budget
+
+pytestmark = pytest.mark.fuzz
 
 BUDGET = tier1_budget(40)
 
@@ -84,7 +87,7 @@ def _library_calls(d, n, alpha, scale):
         "maxvar_mc": lambda: moments(maxvar_mc(d, n, 16, SeededSampler(7))),
         "minvar": lambda: minvar(d, n),
         "extremal_density": lambda: float(e().q.max()),
-        "core_check": lambda: gaps(core_check(d, n, e())),
+        "core_check": lambda: gaps(core_check(d, n, e(), collect_sets=True)),
         "dual_gap": lambda: dual_gap(d, n, e()),
         "mixture_density": lambda: float(
             mixture_density(d, n, CvarFeasibleFamily.cvar_extremal(d)).q.max()

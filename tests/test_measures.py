@@ -569,6 +569,7 @@ class TestMixtureQuad:
         assert abs(value - 2e-10) <= 1e-12 * 2e-10
 
 
+    @pytest.mark.fuzz
     @tier1_budget(300)
     @given(
         st.one_of(quad_laws(), one_atom_laws),
@@ -582,6 +583,7 @@ class TestMixtureQuad:
         got = maxvar_mixture_quad(d, n, rule)
         assert got.hex() == mixture_quad_per_panel(d, n, rule).hex()
 
+    @pytest.mark.fuzz
     @tier1_budget(300)
     @given(
         st.one_of(quad_laws(), dust_laws(), one_atom_laws),
@@ -677,6 +679,7 @@ class TestMonteCarlo:
         assert a.estimate == b.estimate
         assert a.std_error == b.std_error
 
+    @pytest.mark.fuzz
     @tier1_budget(200)
     @given(
         st.one_of(dust_laws(), one_atom_laws, laws()),
@@ -786,6 +789,7 @@ class TestMinvar:
         # minvar lower-bounds the mean the way maxvar upper-bounds it
         assert minvar(d, n) <= expectation(d) + 1e-12
 
+    @pytest.mark.fuzz
     @tier1_budget(300)
     @given(
         st.one_of(laws(max_atoms=40), dust_laws(), quad_laws(), one_atom_laws),
@@ -904,6 +908,7 @@ class TestRowBatch:
     """run_suite's two row-batched evaluations give the per-law path's
     values bit for bit, and its first error, type and message."""
 
+    @pytest.mark.fuzz
     @tier1_budget(60)
     @given(batch_portfolios(), batch_laws(), st.sampled_from([1, 2, 3, 10, 64]))
     # X+Y and X span more than the float range, and Y's values tie at 0.0
